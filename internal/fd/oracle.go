@@ -33,10 +33,13 @@ type Oracle interface {
 }
 
 // crashedSet returns the set of processes that have crashed by time now.
+// Oracles call it for every report, so it walks the faulty set in place
+// rather than materialising its members.
 func crashedSet(gt GroundTruth, now int) model.ProcSet {
 	var s model.ProcSet
-	for _, q := range gt.Faulty().Members() {
-		if gt.CrashedBy(q, now) {
+	faulty := gt.Faulty()
+	for q := model.ProcID(0); int(q) < gt.N(); q++ {
+		if faulty.Has(q) && gt.CrashedBy(q, now) {
 			s = s.Add(q)
 		}
 	}

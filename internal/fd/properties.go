@@ -25,8 +25,9 @@ type reportEvent struct {
 // reportTimeline returns p's failure-detector events in order.
 func reportTimeline(r *model.Run, p model.ProcID) []reportEvent {
 	var out []reportEvent
-	for _, te := range r.Events[p] {
-		if te.Event.Kind == model.EventSuspect {
+	evs := r.Events[p]
+	for i := range evs {
+		if te := &evs[i]; te.Event.Kind == model.EventSuspect {
 			re := reportEvent{time: te.Time, report: te.Event.Report}
 			re.suspects, re.isStandard = te.Event.Report.StandardSuspects(r.N)
 			out = append(out, re)

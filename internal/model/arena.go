@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RunArena is a reusable struct-of-arrays builder for recorded runs.  Events
 // from all processes append into one pair of parallel slabs (owning process,
@@ -26,8 +29,13 @@ type RunArena struct {
 	counts   []int32
 	lastTime []int32
 	crashed  []bool
-	// cursors is Build's regrouping scratch.
+	// cursors is the regrouping scratch of Build and View.
 	cursors []int32
+	// viewSlab, viewSpans and view back View's regrouped run; they are
+	// reused across runs like the append slabs.
+	viewSlab  []TimedEvent
+	viewSpans [][]TimedEvent
+	view      Run
 }
 
 // NewRunArena returns an empty arena ready for Reset.
@@ -71,9 +79,10 @@ func (a *RunArena) N() int { return a.n }
 // Len returns the number of events recorded since the last Reset.
 func (a *RunArena) Len() int { return len(a.events) }
 
-// Append records that event e occurred at process p at global time t, under
-// the same invariants as Run.Append.
-func (a *RunArena) Append(p ProcID, t int, e Event) error {
+// Append records that event *e occurred at process p at global time t, under
+// the same invariants as Run.Append.  The event is copied once, straight into
+// the slab.
+func (a *RunArena) Append(p ProcID, t int, e *Event) error {
 	if int(p) < 0 || int(p) >= a.n {
 		return fmt.Errorf("append: process %d out of range [0,%d)", p, a.n)
 	}
@@ -89,7 +98,11 @@ func (a *RunArena) Append(p ProcID, t int, e Event) error {
 		}
 	}
 	a.procs = append(a.procs, p)
-	a.events = append(a.events, TimedEvent{Time: t, Event: e})
+	a.events = slices.Grow(a.events, 1)
+	a.events = a.events[:len(a.events)+1]
+	te := &a.events[len(a.events)-1]
+	te.Time = t
+	te.Event = *e
 	a.counts[p]++
 	a.lastTime[p] = int32(t)
 	a.crashed[p] = e.Kind == EventCrash
@@ -122,9 +135,29 @@ func (a *RunArena) Build() *Run {
 	return &Run{N: a.n, Horizon: a.horizon, Events: events}
 }
 
-// group performs the counting-sort pass shared by Build: slab receives the
-// events grouped by process (stable, so per-process time order is preserved),
-// and events[p] becomes the p'th span.
+// View regroups the recorded events like Build, but into a slab and span
+// table the arena owns and reuses, so viewing a run allocates nothing once
+// the arena is warm.  The returned run aliases the arena: it is valid only
+// until the next Reset or View, and callers that retain it must take a
+// CompactClone first.
+func (a *RunArena) View() *Run {
+	if cap(a.viewSlab) < len(a.events) {
+		a.viewSlab = make([]TimedEvent, len(a.events), cap(a.events))
+	}
+	if cap(a.viewSpans) < a.n {
+		a.viewSpans = make([][]TimedEvent, a.n)
+	}
+	a.viewSlab = a.viewSlab[:len(a.events)]
+	a.viewSpans = a.viewSpans[:a.n]
+	a.group(a.viewSlab, a.viewSpans)
+	a.view = Run{N: a.n, Horizon: a.horizon, Events: a.viewSpans}
+	return &a.view
+}
+
+// group performs the counting-sort pass shared by Build and View: slab
+// receives the events grouped by process (stable, so per-process time order
+// is preserved), and events[p] becomes the p'th span.  Every slot of slab is
+// overwritten, so a reused slab needs no clearing.
 func (a *RunArena) group(slab []TimedEvent, events [][]TimedEvent) {
 	off := int32(0)
 	for p := 0; p < a.n; p++ {

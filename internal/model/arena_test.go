@@ -20,7 +20,7 @@ func buildBoth(t *testing.T, n int, appends []struct {
 		if err := direct.Append(a.p, a.tm, a.e); err != nil {
 			t.Fatalf("direct append: %v", err)
 		}
-		if err := arena.Append(a.p, a.tm, a.e); err != nil {
+		if err := arena.Append(a.p, a.tm, &a.e); err != nil {
 			t.Fatalf("arena append: %v", err)
 		}
 	}
@@ -49,26 +49,26 @@ func TestArenaBuildMatchesRunAppend(t *testing.T) {
 func TestArenaEnforcesRunInvariants(t *testing.T) {
 	a := NewRunArena()
 	a.Reset(2, 0)
-	if err := a.Append(5, 1, Event{Kind: EventInit}); err == nil {
+	if err := a.Append(5, 1, &Event{Kind: EventInit}); err == nil {
 		t.Fatal("out-of-range process accepted")
 	}
-	if err := a.Append(0, -1, Event{Kind: EventInit}); err == nil {
+	if err := a.Append(0, -1, &Event{Kind: EventInit}); err == nil {
 		t.Fatal("negative time accepted")
 	}
-	if err := a.Append(0, 3, Event{Kind: EventInit}); err != nil {
+	if err := a.Append(0, 3, &Event{Kind: EventInit}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(0, 2, Event{Kind: EventInit}); err == nil {
+	if err := a.Append(0, 2, &Event{Kind: EventInit}); err == nil {
 		t.Fatal("non-monotone time accepted (R2)")
 	}
-	if err := a.Append(0, 4, Event{Kind: EventCrash}); err != nil {
+	if err := a.Append(0, 4, &Event{Kind: EventCrash}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(0, 5, Event{Kind: EventInit}); err == nil {
+	if err := a.Append(0, 5, &Event{Kind: EventInit}); err == nil {
 		t.Fatal("append after crash accepted (R4)")
 	}
 	// The other process is unaffected by p0's crash.
-	if err := a.Append(1, 1, Event{Kind: EventInit}); err != nil {
+	if err := a.Append(1, 1, &Event{Kind: EventInit}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,17 +76,17 @@ func TestArenaEnforcesRunInvariants(t *testing.T) {
 func TestArenaResetIsolatesRuns(t *testing.T) {
 	a := NewRunArena()
 	a.Reset(2, 0)
-	if err := a.Append(0, 1, Event{Kind: EventCrash}); err != nil {
+	if err := a.Append(0, 1, &Event{Kind: EventCrash}); err != nil {
 		t.Fatal(err)
 	}
 	a.SetHorizon(10)
 	first := a.Build()
 
 	a.Reset(2, 0)
-	if err := a.Append(0, 2, Event{Kind: EventInit}); err != nil {
+	if err := a.Append(0, 2, &Event{Kind: EventInit}); err != nil {
 		t.Fatalf("crash state leaked across Reset: %v", err)
 	}
-	if err := a.Append(1, 0, Event{Kind: EventInit}); err != nil {
+	if err := a.Append(1, 0, &Event{Kind: EventInit}); err != nil {
 		t.Fatal(err)
 	}
 	second := a.Build()
@@ -106,7 +106,7 @@ func TestArenaSpansAreCapacityClipped(t *testing.T) {
 		p  ProcID
 		tm int
 	}{{0, 1}, {1, 1}, {0, 2}} {
-		if err := a.Append(app.p, app.tm, Event{Kind: EventInit}); err != nil {
+		if err := a.Append(app.p, app.tm, &Event{Kind: EventInit}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestArenaBuildAllocsConstant(t *testing.T) {
 	record := func(events int) {
 		a.Reset(2, 0)
 		for i := 0; i < events; i++ {
-			if err := a.Append(ProcID(i%2), i/2, Event{Kind: EventInit}); err != nil {
+			if err := a.Append(ProcID(i%2), i/2, &Event{Kind: EventInit}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -138,6 +138,37 @@ func TestArenaBuildAllocsConstant(t *testing.T) {
 	// itself allocates nothing once the slabs are grown.
 	if allocs > 3 {
 		t.Fatalf("arena record+build allocated %.1f times per run, want <= 3", allocs)
+	}
+}
+
+// TestArenaViewMatchesBuild pins that View regroups exactly like Build, that
+// a reused view slab carries nothing over from a larger earlier run, and that
+// viewing a warm arena allocates nothing.
+func TestArenaViewMatchesBuild(t *testing.T) {
+	a := NewRunArena()
+	record := func(n, events int) {
+		a.Reset(n, 0)
+		for i := 0; i < events; i++ {
+			e := Event{Kind: EventSend, Peer: ProcID((i + 1) % n), Msg: Message{Kind: "alpha", Round: i}}
+			if err := a.Append(ProcID(i%n), i/n, &e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct{ n, events int }{{3, 300}, {2, 7}, {4, 0}, {3, 41}} {
+		record(c.n, c.events)
+		built := a.Build()
+		if view := a.View(); !reflect.DeepEqual(view, built) {
+			t.Fatalf("n=%d events=%d: view differs from build:\n%+v\nvs\n%+v", c.n, c.events, view, built)
+		}
+	}
+	record(3, 300)
+	allocs := testing.AllocsPerRun(20, func() {
+		record(3, 300)
+		_ = a.View()
+	})
+	if allocs > 0 {
+		t.Fatalf("arena record+view allocated %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -173,8 +173,8 @@ func (r *Run) SuspectsAt(p ProcID, m int) ProcSet {
 // was.
 func (r *Run) InitTime(a ActionID) (int, bool) {
 	evs := r.Events[a.Initiator]
-	for _, te := range evs {
-		if te.Event.Kind == EventInit && te.Event.Action == a {
+	for i := range evs {
+		if te := &evs[i]; te.Event.Kind == EventInit && te.Event.Action == a {
 			return te.Time, true
 		}
 	}
@@ -184,8 +184,8 @@ func (r *Run) InitTime(a ActionID) (int, bool) {
 // DoTime returns the time at which process p performed action a, if it did.
 func (r *Run) DoTime(p ProcID, a ActionID) (int, bool) {
 	evs := r.Events[p]
-	for _, te := range evs {
-		if te.Event.Kind == EventDo && te.Event.Action == a {
+	for i := range evs {
+		if te := &evs[i]; te.Event.Kind == EventDo && te.Event.Action == a {
 			return te.Time, true
 		}
 	}
@@ -197,9 +197,10 @@ func (r *Run) DoTime(p ProcID, a ActionID) (int, bool) {
 func (r *Run) InitiatedActions() []ActionID {
 	var out []ActionID
 	for p := ProcID(0); int(p) < r.N; p++ {
-		for _, te := range r.Events[p] {
-			if te.Event.Kind == EventInit {
-				out = append(out, te.Event.Action)
+		evs := r.Events[p]
+		for i := range evs {
+			if evs[i].Event.Kind == EventInit {
+				out = append(out, evs[i].Event.Action)
 			}
 		}
 	}
@@ -219,9 +220,10 @@ func (r *Run) InitiatedActions() []ActionID {
 func (r *Run) Decisions() map[ProcID]ActionID {
 	out := make(map[ProcID]ActionID)
 	for p := ProcID(0); int(p) < r.N; p++ {
-		for _, te := range r.Events[p] {
-			if te.Event.Kind == EventDo {
-				out[p] = te.Event.Action
+		evs := r.Events[p]
+		for i := range evs {
+			if evs[i].Event.Kind == EventDo {
+				out[p] = evs[i].Event.Action
 				break
 			}
 		}
@@ -243,8 +245,8 @@ func (r *Run) EventCount() int {
 func (r *Run) CountKind(k EventKind) int {
 	total := 0
 	for _, evs := range r.Events {
-		for _, te := range evs {
-			if te.Event.Kind == k {
+		for i := range evs {
+			if evs[i].Event.Kind == k {
 				total++
 			}
 		}

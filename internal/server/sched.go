@@ -290,8 +290,10 @@ type scheduler struct {
 	// extends a previously served one feeds only the delta to System.Add.
 	// States are claimed (removed) under mu for the duration of a tail and
 	// re-inserted afterwards, so ownership is exclusive even though the tail
-	// runs outside the lock.
-	exstates map[store.Key]*workload.ExtractionState
+	// runs outside the lock.  exTick stamps each release, so a full cache
+	// evicts its least recently released state.
+	exstates map[store.Key]cachedExState
+	exTick   uint64
 	// stats is guarded by mu.  Every mutation — count(), finish(), and the
 	// few direct s.stats.X++ increments in dispatch() and Extract() — must
 	// hold mu; the direct increments are legal only because their enclosing
@@ -321,7 +323,7 @@ func newScheduler(st *store.Store, workers int, batchWindow time.Duration, maxQu
 		inflight:    make(map[store.Key]*call),
 		seedflight:  make(map[store.Key]*seedCall),
 		sources:     make(map[string]*SourceStats),
-		exstates:    make(map[store.Key]*workload.ExtractionState),
+		exstates:    make(map[store.Key]cachedExState),
 		fleetq:      make(chan *fleetJob),
 		quit:        make(chan struct{}),
 	}
@@ -410,37 +412,53 @@ func (s *scheduler) dispatch() {
 // for O(delta) window growth on the pipelines it holds.
 const maxExtractionStates = 16
 
+// cachedExState is one index-state cache entry: the state and the tick of
+// its last release.
+type cachedExState struct {
+	st       *workload.ExtractionState
+	released uint64
+}
+
 // claimExtractionState removes and returns the cached index state for the
 // pipeline identity, or a fresh empty state.  A claimed state is exclusively
 // owned until releaseExtractionState puts it back.
 func (s *scheduler) claimExtractionState(id store.Key) *workload.ExtractionState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, ok := s.exstates[id]; ok {
+	if ent, ok := s.exstates[id]; ok {
 		delete(s.exstates, id)
-		return st
+		return ent.st
 	}
 	return &workload.ExtractionState{}
 }
 
 // releaseExtractionState returns a claimed state to the cache.  A concurrent
 // claimant may have rebuilt a state for the same identity; the one covering
-// more seeds wins.  The cache is size-bounded; states that do not fit are
-// dropped (reuse is an optimisation, never a correctness requirement).
+// more seeds wins.  The cache is size-bounded: a new identity arriving at a
+// full cache evicts the least recently released state (reuse is an
+// optimisation, never a correctness requirement).
 func (s *scheduler) releaseExtractionState(id store.Key, st *workload.ExtractionState) {
 	if st == nil || st.Indexed == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.exTick++
 	if prev, ok := s.exstates[id]; ok {
-		if prev.Indexed >= st.Indexed {
-			return
+		if prev.st.Indexed >= st.Indexed {
+			st = prev.st
 		}
 	} else if len(s.exstates) >= maxExtractionStates {
-		return
+		var oldest store.Key
+		first := true
+		for k, ent := range s.exstates {
+			if first || ent.released < s.exstates[oldest].released {
+				oldest, first = k, false
+			}
+		}
+		delete(s.exstates, oldest)
 	}
-	s.exstates[id] = st
+	s.exstates[id] = cachedExState{st: st, released: s.exTick}
 }
 
 // submit hands one job to the dispatcher and waits for its round.  pending
@@ -762,7 +780,9 @@ func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary s
 			// computeLocal simulates owned indices in one dispatcher round,
 			// persists them as per-seed records and publishes them.  It
 			// serves the local partition, the hedge, and degraded-mode
-			// fallback alike; a failed round publishes the failure.
+			// fallback alike; a failed round publishes the failure.  Each
+			// seed's record is encoded by the worker that simulated it, so
+			// the persist stage is only the corpus write.
 			computeLocal := func(idxs []int) error {
 				if len(idxs) == 0 {
 					return nil
@@ -772,7 +792,7 @@ func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary s
 					ownedSeeds[j] = seeds[i]
 				}
 				job := &fleetJob{
-					runs: &workload.Task{Spec: spec, Seeds: ownedSeeds, Eval: eval},
+					runs: &workload.Task{Spec: spec, Seeds: ownedSeeds, Eval: eval, OnSeed: store.SeedRecorder(eval != nil, needRuns)},
 					done: make(chan struct{}),
 				}
 				computeSpan := tr.Span("compute")
@@ -787,7 +807,7 @@ func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary s
 				putPayloads := make([][]byte, len(idxs))
 				for j, i := range idxs {
 					putKeys[j] = keys[i]
-					putPayloads[j] = store.EncodeSeedRecord(store.NewSeedRecord(job.seedRuns[j], eval != nil))
+					putPayloads[j] = job.seedRuns[j].Record
 				}
 				if failed, _ := s.store.PutMulti(putKeys, putPayloads); failed > 0 {
 					s.count(func(st *SchedulerStats) { st.PutErrors += uint64(failed) })

@@ -17,14 +17,18 @@ const EngineVersion = 1
 
 // Engine executes simulations.  One Engine can run many configurations in
 // sequence, reusing its internal buffers (network buckets, intern tables,
-// per-process harnesses, schedule slices and the event arena) between runs;
-// only the recorded model.Run of each result is freshly allocated — regrouped
-// out of the arena in a constant number of allocations — so results remain
-// valid after the Engine moves on and the inner recording loop allocates
-// nothing once the arena has grown to the workload's high-water mark.  An
-// Engine is not safe for concurrent use; parallel sweeps give each worker its
-// own Engine.  For the same Config, every Engine produces an identical
-// recorded run regardless of what it ran before.
+// per-process harnesses, schedule slices and the event arena) between runs,
+// so the inner recording loop allocates nothing once the arena has grown to
+// the workload's high-water mark.  A run has one simulation loop and two
+// ways to finish it: Run regroups the arena into a freshly allocated
+// model.Run, in a constant number of allocations, so its results remain
+// valid after the Engine moves on; RunView instead hands a per-run callback
+// a view of the run regrouped into the arena's own reused slab, for callers
+// (the parallel sweep's workers) that score and encode each run before the
+// next one starts.  An Engine is not safe for concurrent use; parallel
+// sweeps give each worker its own Engine.  For the same Config, every
+// Engine produces an identical recorded run regardless of what it ran
+// before, whichever way it finishes.
 type Engine struct {
 	// Reused across runs.
 	net      network
@@ -52,8 +56,31 @@ func NewEngine() *Engine {
 // and statistics.  It may be called repeatedly; identical configurations yield
 // identical results regardless of what the engine ran before.
 func (e *Engine) Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := e.simulate(cfg); err != nil {
 		return nil, err
+	}
+	// Build regroups the arena into a fresh Run, so the result belongs to the
+	// caller and survives the engine's next Reset.
+	return &Result{Run: e.arena.Build(), Stats: e.stats}, nil
+}
+
+// RunView executes one simulation like Run, then calls fn with the result
+// instead of returning it.  The result's Run is a view of the engine's
+// arena: it is valid only until fn returns, and fn must CompactClone it to
+// keep it.  Viewing allocates nothing once the arena is warm.
+func (e *Engine) RunView(cfg Config, fn func(*Result)) error {
+	if err := e.simulate(cfg); err != nil {
+		return err
+	}
+	fn(&Result{Run: e.arena.View(), Stats: e.stats})
+	return nil
+}
+
+// simulate is the simulation loop Run and RunView share: it leaves the
+// recorded events in the arena and the counters in e.stats.
+func (e *Engine) simulate(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 1
@@ -63,7 +90,13 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 
 	e.cfg = cfg
-	e.rng = rand.New(rand.NewSource(cfg.Seed))
+	// Reseeding leaves the generator exactly as a fresh one for the seed
+	// would be, without reallocating its state.
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		e.rng.Seed(cfg.Seed)
+	}
 	e.now = 0
 	e.stats = Stats{}
 	e.err = nil
@@ -90,7 +123,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		pr.crashed = false
 		pr.proto = cfg.Protocol(pr.id, cfg.N)
 		if pr.proto == nil {
-			return nil, fmt.Errorf("sim: protocol factory returned nil for process %d", i)
+			return fmt.Errorf("sim: protocol factory returned nil for process %d", i)
 		}
 		pr.ctx = procContext{e: e, p: pr}
 	}
@@ -122,14 +155,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		}
 		e.step(inits[i0:ii], crashes[c0:ci])
 		if e.err != nil {
-			return nil, fmt.Errorf("sim: step %d: %w", e.now, e.err)
+			return fmt.Errorf("sim: step %d: %w", e.now, e.err)
 		}
 	}
 	e.arena.SetHorizon(cfg.MaxSteps)
 	e.stats.Steps = cfg.MaxSteps
-	// Build regroups the arena into a fresh Run, so the result belongs to the
-	// caller and survives the engine's next Reset.
-	return &Result{Run: e.arena.Build(), Stats: e.stats}, nil
+	return nil
 }
 
 // buildSchedule sorts the workload and the (deduplicated) failure pattern into
@@ -174,8 +205,8 @@ func (e *Engine) internAction(a model.ActionID) int {
 	return int(idx)
 }
 
-// record appends an event to the run arena, capturing the first append error.
-func (e *Engine) record(p model.ProcID, ev model.Event) {
+// record appends *ev to the run arena, capturing the first append error.
+func (e *Engine) record(p model.ProcID, ev *model.Event) {
 	if e.err != nil {
 		return
 	}
@@ -196,7 +227,7 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 		}
 		pr.crashed = true
 		e.stats.CrashEvents++
-		e.record(cr.Proc, model.Event{Kind: model.EventCrash})
+		e.record(cr.Proc, &model.Event{Kind: model.EventCrash})
 	}
 
 	// 2. Workload initiations.
@@ -206,19 +237,21 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 			continue
 		}
 		e.stats.InitEvents++
-		e.record(in.Proc, model.Event{Kind: model.EventInit, Action: in.Action})
+		e.record(in.Proc, &model.Event{Kind: model.EventInit, Action: in.Action})
 		pr.proto.OnInitiate(&pr.ctx, in.Action)
 	}
 
 	// 3. Message deliveries due now.
-	for _, pm := range e.net.due(e.now) {
+	due := e.net.due(e.now)
+	for i := range due {
+		pm := &due[i]
 		pr := &e.procs[pm.to]
 		if pr.crashed {
 			e.stats.MessagesToCrashed++
 			continue
 		}
 		e.stats.MessagesDelivered++
-		e.record(pm.to, model.Event{Kind: model.EventRecv, Peer: pm.from, Msg: pm.msg})
+		e.record(pm.to, &model.Event{Kind: model.EventRecv, Peer: pm.from, Msg: pm.msg})
 		pr.proto.OnMessage(&pr.ctx, pm.from, pm.msg)
 	}
 
@@ -234,7 +267,7 @@ func (e *Engine) step(inits []Initiation, crashes []CrashEvent) {
 				continue
 			}
 			e.stats.SuspectEvents++
-			e.record(pr.id, model.Event{Kind: model.EventSuspect, Report: rep})
+			e.record(pr.id, &model.Event{Kind: model.EventSuspect, Report: rep})
 			pr.proto.OnSuspect(&pr.ctx, rep)
 		}
 	}

@@ -60,6 +60,50 @@ func TestEngineReuseMatchesFreshEngines(t *testing.T) {
 	}
 }
 
+// TestRunViewMatchesRun pins the engine's two finishes to one simulation:
+// interleaved on one reused engine, RunView hands its callback exactly the
+// run and statistics Run returns, and a CompactClone taken inside the
+// callback survives the engine's next run.
+func TestRunViewMatchesRun(t *testing.T) {
+	configs := []sim.Config{baseConfig(), func() sim.Config {
+		cfg := baseConfig()
+		cfg.N = 7
+		cfg.Seed = 12
+		cfg.MaxSteps = 400
+		cfg.Oracle = fd.PerfectOracle{}
+		cfg.Crashes = []sim.CrashEvent{{Time: 30, Proc: 3}}
+		return cfg
+	}()}
+	eng := sim.NewEngine()
+	var kept []*model.Run
+	for round := 0; round < 2; round++ {
+		for i, cfg := range configs {
+			owned, err := eng.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = eng.RunView(cfg, func(res *sim.Result) {
+				if !reflect.DeepEqual(res.Run, owned.Run) || res.Stats != owned.Stats {
+					t.Errorf("round %d config %d: view differs from the owned run", round, i)
+				}
+				kept = append(kept, res.Run.CompactClone())
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, run := range kept {
+		fresh, err := sim.Run(configs[i%len(configs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(run, fresh.Run) {
+			t.Errorf("clone %d of a view changed after the engine moved on", i)
+		}
+	}
+}
+
 // TestPreHorizonEntriesDoNotStallSchedule pins a cursor regression: an
 // initiation or crash scheduled at Time <= 0 never fires (the loop starts at
 // time 1), but it must not block later entries from firing.

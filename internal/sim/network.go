@@ -23,7 +23,7 @@ type msgIdentity struct {
 	round, phase, value, aux int
 }
 
-func identityOf(m model.Message) msgIdentity {
+func identityOf(m *model.Message) msgIdentity {
 	return msgIdentity{kind: m.Kind, action: m.Action, round: m.Round, phase: m.Phase, value: m.Value, aux: m.Aux}
 }
 
@@ -96,8 +96,8 @@ func (nw *network) fairnessBound() int {
 	return nw.cfg.FairnessBound
 }
 
-// internMsg returns the stable small-integer identity of msg.
-func (nw *network) internMsg(msg model.Message) int32 {
+// internMsg returns the stable small-integer identity of *msg.
+func (nw *network) internMsg(msg *model.Message) int32 {
 	id := identityOf(msg)
 	k, ok := nw.intern[id]
 	if !ok {
@@ -111,7 +111,7 @@ func (nw *network) internMsg(msg model.Message) int32 {
 // channel shaper, if any.  The shaper's verdict composes with the base model:
 // drops from either source share the fairness accounting, extra delay adds to
 // the base delay draw, and duplicates are enqueued as additional copies.
-func (nw *network) send(now int, from, to model.ProcID, msg model.Message) {
+func (nw *network) send(now int, from, to model.ProcID, msg *model.Message) {
 	nw.stats.MessagesSent++
 	key := channelKey{from: from, to: to, msg: nw.internMsg(msg)}
 	var verdict adversary.Verdict
@@ -148,13 +148,13 @@ func (nw *network) send(now int, from, to model.ProcID, msg model.Message) {
 
 // enqueue places one copy of a message into the delivery ring, drawing its
 // base delay and adding the shaper's extra delay.
-func (nw *network) enqueue(now int, from, to model.ProcID, msg model.Message, extraDelay int) {
+func (nw *network) enqueue(now int, from, to model.ProcID, msg *model.Message, extraDelay int) {
 	delay := 1 + extraDelay
 	if nw.cfg.MaxDelay > 0 {
 		delay += nw.rng.Intn(nw.cfg.MaxDelay + 1)
 	}
 	slot := (now + delay) % len(nw.buckets)
-	nw.buckets[slot] = append(nw.buckets[slot], pendingMessage{from: from, to: to, msg: msg})
+	nw.buckets[slot] = append(nw.buckets[slot], pendingMessage{from: from, to: to, msg: *msg})
 }
 
 // due returns the messages to deliver at time now, in deterministic send

@@ -14,7 +14,9 @@ import (
 // byte, a varint-encoded payload, and a trailing CRC-32 of everything before
 // it.  Encoding the same value always yields the same bytes, decoding is
 // allocation-light, and any truncation or bit flip fails the checksum (or a
-// bounds check) instead of producing a plausible-looking wrong value.  The
+// bounds check) instead of producing a plausible-looking wrong value.
+// Decoding is also canonical: only the encoder's own encoding of a value is
+// accepted, so an accepted container re-encodes to exactly its bytes.  The
 // codec preserves every field of every event, so a decoded run re-encodes to
 // byte-identical JSON under trace.EncodeJSON.
 
@@ -49,9 +51,33 @@ var magic = [4]byte{'U', 'D', 'C', CodecVersion}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// writer accumulates the varint-encoded payload.
+// writer accumulates one container: newWriter writes the header (magic and
+// kind), the encoders append the varint payload, and seal appends the
+// checksum in place, so a container is built in one buffer with no copy.
 type writer struct {
 	buf []byte
+}
+
+// headerLen and trailerLen frame every container: magic plus kind byte in
+// front, CRC-32C behind.
+const (
+	headerLen  = len(magic) + 1
+	trailerLen = 4
+)
+
+// newWriter starts a container of the given kind whose buffer is presized
+// for a payload of about payloadHint bytes.
+func newWriter(kind byte, payloadHint int) writer {
+	w := writer{buf: make([]byte, headerLen, headerLen+payloadHint+trailerLen)}
+	copy(w.buf, magic[:])
+	w.buf[len(magic)] = kind
+	return w
+}
+
+// seal finishes the container by appending the CRC-32C of everything
+// written so far, and returns it.
+func (w *writer) seal() []byte {
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf, crcTable))
 }
 
 func (w *writer) uvarint(v uint64) {
@@ -100,7 +126,8 @@ func (r *reader) fail(format string, args ...any) {
 
 // uvarint and svarint inline the one- and two-byte cases — event kinds,
 // presence masks, counts, and step times up to 16383 — and fall back to the
-// full decoder for longer values.
+// full decoder for longer values (and for a two-byte encoding ending in a
+// zero byte, which the slow path rejects as non-minimal).
 
 func (r *reader) uvarint() uint64 {
 	if r.err == nil && r.pos < len(r.data) {
@@ -108,7 +135,7 @@ func (r *reader) uvarint() uint64 {
 			r.pos++
 			return uint64(b)
 		} else if r.pos+1 < len(r.data) {
-			if b2 := r.data[r.pos+1]; b2 < 0x80 {
+			if b2 := r.data[r.pos+1]; b2 < 0x80 && b2 != 0 {
 				r.pos += 2
 				return uint64(b&0x7f) | uint64(b2)<<7
 			}
@@ -122,12 +149,27 @@ func (r *reader) uvarintSlow() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail("store: truncated uvarint at offset %d", r.pos)
+	if !r.minimal(n, "uvarint") {
 		return 0
 	}
 	r.pos += n
 	return v
+}
+
+// minimal validates the length n of the varint at the read position (as
+// binary.Uvarint/Varint report it): it must be complete and minimal — a
+// longer encoding of a value ends in a zero byte — so every value has one
+// encoding.
+func (r *reader) minimal(n int, what string) bool {
+	if n <= 0 {
+		r.fail("store: truncated %s at offset %d", what, r.pos)
+		return false
+	}
+	if n > 1 && r.data[r.pos+n-1] == 0 {
+		r.fail("store: non-minimal %s at offset %d", what, r.pos)
+		return false
+	}
+	return true
 }
 
 func (r *reader) svarint() int64 {
@@ -140,7 +182,7 @@ func (r *reader) svarint() int64 {
 			}
 			return v
 		} else if r.pos+1 < len(r.data) {
-			if b2 := r.data[r.pos+1]; b2 < 0x80 {
+			if b2 := r.data[r.pos+1]; b2 < 0x80 && b2 != 0 {
 				r.pos += 2
 				ux := uint64(b&0x7f) | uint64(b2)<<7
 				v := int64(ux >> 1)
@@ -159,8 +201,7 @@ func (r *reader) svarintSlow() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail("store: truncated varint at offset %d", r.pos)
+	if !r.minimal(n, "varint") {
 		return 0
 	}
 	r.pos += n
@@ -189,8 +230,12 @@ func (r *reader) bool() bool {
 		return false
 	}
 	b := r.data[r.pos]
+	if b > 1 {
+		r.fail("store: bool byte %d at offset %d", b, r.pos)
+		return false
+	}
 	r.pos++
-	return b != 0
+	return b == 1
 }
 
 func (r *reader) str() string {
@@ -240,16 +285,6 @@ func (r *reader) done() error {
 	return nil
 }
 
-// seal wraps a payload in the container framing: magic, kind, payload,
-// trailing CRC-32C of everything before it.
-func seal(kind byte, payload []byte) []byte {
-	out := make([]byte, 0, len(magic)+1+len(payload)+4)
-	out = append(out, magic[:]...)
-	out = append(out, kind)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
-}
-
 // unseal verifies the container framing and returns the payload.
 func unseal(data []byte, wantKind byte) ([]byte, error) {
 	if err := Check(data); err != nil {
@@ -258,14 +293,14 @@ func unseal(data []byte, wantKind byte) ([]byte, error) {
 	if data[4] != wantKind {
 		return nil, fmt.Errorf("store: container kind %d, want %d", data[4], wantKind)
 	}
-	return data[5 : len(data)-4], nil
+	return data[headerLen : len(data)-trailerLen], nil
 }
 
 // Check verifies the container framing — magic, version, a known kind and the
 // trailing checksum — without decoding the payload.  It is what the on-disk
 // store uses to detect corrupt or truncated entries.
 func Check(data []byte) error {
-	if len(data) < len(magic)+1+4 {
+	if len(data) < headerLen+trailerLen {
 		return fmt.Errorf("store: container truncated to %d bytes", len(data))
 	}
 	if [4]byte(data[:4]) != magic {
@@ -274,7 +309,7 @@ func Check(data []byte) error {
 	if kind := data[4]; kind < KindRun || kind > KindError {
 		return fmt.Errorf("store: unknown container kind %d", kind)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
+	body, tail := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
 	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
 		return fmt.Errorf("store: checksum mismatch (got %08x, want %08x)", got, want)
 	}
@@ -317,6 +352,11 @@ func KindName(kind byte) string {
 // Field-presence masks keep non-message events to a couple of bytes each
 // while still preserving every field exactly (required for byte-identical
 // JSON round trips even on events that carry unusual field combinations).
+// A mask has a bit exactly for each non-zero field, and a present message or
+// report is never empty, so the reader rejects a mask with unknown bits, an
+// empty nested mask, or a present field that decodes as zero.  Together with
+// minimal varints and 0/1 bools this makes decoding canonical: each value has
+// one encoding, and an accepted container re-encodes to its own bytes.
 
 func (w *writer) action(a model.ActionID) {
 	w.svarint(int64(a.Initiator))
@@ -327,7 +367,13 @@ func (r *reader) action() model.ActionID {
 	return model.ActionID{Initiator: model.ProcID(r.svarint()), Seq: r.int()}
 }
 
-func (w *writer) message(m model.Message) {
+// nonCanonical latches the error for a value whose encoding is not the one
+// the encoder writes.  Callers test first, keeping the hot path call-free.
+func (r *reader) nonCanonical(what string, mask uint64) {
+	r.fail("store: non-canonical %s (mask %#x) before offset %d", what, mask, r.pos)
+}
+
+func (w *writer) message(m *model.Message) {
 	var mask uint64
 	if m.Kind != "" {
 		mask |= 1 << 0
@@ -389,34 +435,46 @@ func (w *writer) message(m model.Message) {
 // copies.
 func (r *reader) messageInto(m *model.Message) {
 	mask := r.uvarint()
+	ok := mask != 0 && mask < 1<<9
 	if mask&(1<<0) != 0 {
 		m.Kind = r.kindStr()
+		ok = ok && m.Kind != ""
 	}
 	if mask&(1<<1) != 0 {
 		m.Action = r.action()
+		ok = ok && !m.Action.IsZero()
 	}
 	if mask&(1<<2) != 0 {
 		m.Round = r.int()
+		ok = ok && m.Round != 0
 	}
 	if mask&(1<<3) != 0 {
 		m.Phase = r.int()
+		ok = ok && m.Phase != 0
 	}
 	if mask&(1<<4) != 0 {
 		m.Value = r.int()
+		ok = ok && m.Value != 0
 	}
 	if mask&(1<<5) != 0 {
 		m.Aux = r.int()
+		ok = ok && m.Aux != 0
 	}
 	if mask&(1<<6) != 0 {
 		m.Suspects = model.ProcSet(r.uvarint())
+		ok = ok && m.Suspects != 0
 	}
 	if mask&(1<<7) != 0 {
 		m.KnownCrashed = model.ProcSet(r.uvarint())
+		ok = ok && m.KnownCrashed != 0
 	}
 	m.KnownInits = mask&(1<<8) != 0
+	if !ok {
+		r.nonCanonical("message", mask)
+	}
 }
 
-func (w *writer) report(rep model.SuspectReport) {
+func (w *writer) report(rep *model.SuspectReport) {
 	var mask uint64
 	if rep.Suspects != 0 {
 		mask |= 1 << 0
@@ -454,23 +512,31 @@ func (w *writer) report(rep model.SuspectReport) {
 // reportInto decodes a suspect report into *rep, which must be zero on entry.
 func (r *reader) reportInto(rep *model.SuspectReport) {
 	mask := r.uvarint()
+	ok := mask != 0 && mask < 1<<6
 	if mask&(1<<0) != 0 {
 		rep.Suspects = model.ProcSet(r.uvarint())
+		ok = ok && rep.Suspects != 0
 	}
 	rep.Generalized = mask&(1<<1) != 0
 	if mask&(1<<2) != 0 {
 		rep.Group = model.ProcSet(r.uvarint())
+		ok = ok && rep.Group != 0
 	}
 	if mask&(1<<3) != 0 {
 		rep.MinFaulty = r.int()
+		ok = ok && rep.MinFaulty != 0
 	}
 	rep.CorrectReport = mask&(1<<4) != 0
 	if mask&(1<<5) != 0 {
 		rep.Correct = model.ProcSet(r.uvarint())
+		ok = ok && rep.Correct != 0
+	}
+	if !ok {
+		r.nonCanonical("report", mask)
 	}
 }
 
-func (w *writer) event(e model.Event) {
+func (w *writer) event(e *model.Event) {
 	var mask uint64
 	if e.Peer != 0 {
 		mask |= 1 << 0
@@ -492,13 +558,13 @@ func (w *writer) event(e model.Event) {
 		w.svarint(int64(e.Peer))
 	}
 	if hasMsg {
-		w.message(e.Msg)
+		w.message(&e.Msg)
 	}
 	if mask&(1<<2) != 0 {
 		w.action(e.Action)
 	}
 	if hasReport {
-		w.report(e.Report)
+		w.report(&e.Report)
 	}
 }
 
@@ -508,17 +574,23 @@ func (w *writer) event(e model.Event) {
 func (r *reader) eventInto(e *model.Event) {
 	e.Kind = model.EventKind(r.uvarint())
 	mask := r.uvarint()
+	ok := mask < 1<<4
 	if mask&(1<<0) != 0 {
 		e.Peer = model.ProcID(r.svarint())
+		ok = ok && e.Peer != 0
 	}
 	if mask&(1<<1) != 0 {
 		r.messageInto(&e.Msg)
 	}
 	if mask&(1<<2) != 0 {
 		e.Action = r.action()
+		ok = ok && !e.Action.IsZero()
 	}
 	if mask&(1<<3) != 0 {
 		r.reportInto(&e.Report)
+	}
+	if !ok {
+		r.nonCanonical("event", mask)
 	}
 }
 
@@ -527,18 +599,34 @@ func (w *writer) run(r *model.Run) {
 	w.int(r.Horizon)
 	for _, evs := range r.Events {
 		w.uvarint(uint64(len(evs)))
-		for _, te := range evs {
-			w.int(te.Time)
-			w.event(te.Event)
+		for i := range evs {
+			w.int(evs[i].Time)
+			w.event(&evs[i].Event)
 		}
 	}
 }
 
+// runSizeHint estimates a run's encoded size from its event count, so an
+// encoder's buffer is allocated once at about its final size.
+func runSizeHint(r *model.Run) int {
+	return 8 + 2*r.N + bytesPerEventHint*r.EventCount()
+}
+
+// bytesPerEventHint slightly exceeds the mean encoded event size of the
+// catalogued scenarios (10 to 14.3 bytes, dominated by message-carrying sends
+// and receives), so the buffer rarely regrows and wastes little.
+const bytesPerEventHint = 15
+
+// outcomeSizeHint covers one encoded per-seed outcome without violations
+// (seed, eleven simulator counters and two latency sums take about 35
+// bytes); the rare violation text regrows the buffer.
+const outcomeSizeHint = 48
+
 // EncodeRun serialises one recorded run.
 func EncodeRun(run *model.Run) []byte {
-	var w writer
+	w := newWriter(KindRun, runSizeHint(run))
 	w.run(run)
-	return seal(KindRun, w.buf)
+	return w.seal()
 }
 
 // DecodeRun deserialises a run encoded by EncodeRun, validating the container
@@ -577,12 +665,16 @@ func cloneRun(arena *model.CloneArena, run *model.Run) *model.Run {
 
 // EncodeSystem serialises an ordered sequence of recorded runs.
 func EncodeSystem(runs model.System) []byte {
-	var w writer
+	hint := binary.MaxVarintLen64
+	for _, run := range runs {
+		hint += runSizeHint(run)
+	}
+	w := newWriter(KindSystem, hint)
 	w.uvarint(uint64(len(runs)))
 	for _, run := range runs {
 		w.run(run)
 	}
-	return seal(KindSystem, w.buf)
+	return w.seal()
 }
 
 // DecodeSystem deserialises a sequence encoded by EncodeSystem.  The runs

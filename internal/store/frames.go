@@ -27,13 +27,13 @@ const maxFrameLen = 1 << 30
 // recorded run is not part of an outcome frame — streams carry scores, not
 // traces — so frames stay a few dozen bytes.
 func EncodeOutcome(o workload.RunOutcome) []byte {
-	var w writer
+	w := newWriter(KindOutcome, outcomeSizeHint)
 	w.svarint(o.Seed)
 	w.stats(o.Stats)
 	w.violations(o.Violations)
 	w.int(o.LatencySum)
 	w.int(o.LatencyActions)
-	return seal(KindOutcome, w.buf)
+	return w.seal()
 }
 
 // DecodeOutcome deserialises a container encoded by EncodeOutcome.
@@ -58,9 +58,9 @@ func DecodeOutcome(data []byte) (workload.RunOutcome, error) {
 
 // EncodeStreamError serialises a stream's terminal error as a wire container.
 func EncodeStreamError(msg string) []byte {
-	var w writer
+	w := newWriter(KindError, 0)
 	w.str(msg)
-	return seal(KindError, w.buf)
+	return w.seal()
 }
 
 // DecodeStreamError deserialises a container encoded by EncodeStreamError.

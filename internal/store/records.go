@@ -116,9 +116,24 @@ func NewSeedRecord(sr workload.SeedRun, scored bool) *SeedRecord {
 	}
 }
 
-// EncodeSeedRecord serialises a seed record.
+// SeedRecorder returns the workload.Task OnSeed hook that encodes each
+// computed seed's corpus record on the worker that simulated it, while the
+// run is still hot.  scored marks records of seeds swept under an evaluator;
+// keepRun additionally keeps an owned copy of the run (extraction sources
+// need their runs, sweeps only their outcomes).
+func SeedRecorder(scored, keepRun bool) func(*workload.SeedRun) {
+	return func(sr *workload.SeedRun) {
+		sr.Record = EncodeSeedRecord(NewSeedRecord(*sr, scored))
+		if keepRun {
+			sr.Run = sr.Run.CompactClone()
+		}
+	}
+}
+
+// EncodeSeedRecord serialises a seed record into one buffer presized from
+// the run's event count.
 func EncodeSeedRecord(rec *SeedRecord) []byte {
-	var w writer
+	w := newWriter(KindSeed, outcomeSizeHint+runSizeHint(rec.Run))
 	w.svarint(rec.Seed)
 	w.stats(rec.Stats)
 	w.bool(rec.Scored)
@@ -126,7 +141,7 @@ func EncodeSeedRecord(rec *SeedRecord) []byte {
 	w.int(rec.LatencySum)
 	w.int(rec.LatencyActions)
 	w.run(rec.Run)
-	return seal(KindSeed, w.buf)
+	return w.seal()
 }
 
 // DecodeSeedRecord deserialises a record encoded by EncodeSeedRecord,
@@ -152,7 +167,7 @@ func DecodeSeedRecordInto(arena *model.CloneArena, data []byte) (*SeedRecord, er
 
 // EncodeSweepRecord serialises a sweep record.
 func EncodeSweepRecord(rec *SweepRecord) []byte {
-	var w writer
+	w := newWriter(KindSweep, 64+outcomeSizeHint*len(rec.Outcomes))
 	w.str(rec.Scenario)
 	w.str(rec.Check)
 	w.str(rec.Adversary)
@@ -165,7 +180,7 @@ func EncodeSweepRecord(rec *SweepRecord) []byte {
 		w.int(o.LatencySum)
 		w.int(o.LatencyActions)
 	}
-	return seal(KindSweep, w.buf)
+	return w.seal()
 }
 
 // DecodeSweepRecord deserialises a record encoded by EncodeSweepRecord.
@@ -277,7 +292,7 @@ func NewExtractionRecord(adversary string, stress bool, res *workload.Extraction
 
 // EncodeExtractionRecord serialises an extraction record.
 func EncodeExtractionRecord(rec *ExtractionRecord) []byte {
-	var w writer
+	w := newWriter(KindExtraction, 0)
 	w.str(rec.Extraction)
 	w.str(rec.Mode)
 	w.int(rec.T)
@@ -301,7 +316,7 @@ func EncodeExtractionRecord(rec *ExtractionRecord) []byte {
 		w.svarint(v.Seed)
 		w.violations(v.Violations)
 	}
-	return seal(KindExtraction, w.buf)
+	return w.seal()
 }
 
 // DecodeExtractionRecord deserialises a record encoded by

@@ -53,7 +53,8 @@ func ValidateStructure(run *model.Run) error {
 	}
 	for p, evs := range run.Events {
 		last := 0
-		for i, te := range evs {
+		for i := range evs {
+			te := &evs[i]
 			if te.Time < 0 {
 				return fmt.Errorf("decode run: process %d event %d has negative time %d", p, i, te.Time)
 			}

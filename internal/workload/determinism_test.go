@@ -171,6 +171,40 @@ func TestRunAllMatchesSweepAll(t *testing.T) {
 	}
 }
 
+// TestRunAllOnSeedHook pins the per-seed hook's contract: it runs once per
+// seed with the scored outcome and a valid view of the run, whatever it
+// stores in Record comes back in the slot, a run it keeps by cloning is
+// returned, and a run it leaves aliasing the engine is dropped.
+func TestRunAllOnSeedHook(t *testing.T) {
+	sc := registry.MustScenario("prop3.1-strong-udc")
+	seeds := workload.Seeds(3, 6)
+	hook := func(sr *workload.SeedRun) {
+		sr.Record = []byte(runDigest(t, sr.Run))
+		if sr.Outcome.Seed%2 == 0 {
+			sr.Run = sr.Run.CompactClone()
+		}
+	}
+	ran, err := workload.Runner{Workers: 3}.RunAll([]workload.Task{{Spec: sc.Spec, Seeds: seeds, Eval: sc.Eval, OnSeed: hook}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sr := range ran[0] {
+		fresh, err := workload.Execute(sc.Spec, seeds[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Outcome.Seed != seeds[i] || string(sr.Record) != runDigest(t, fresh.Run) {
+			t.Fatalf("seed %d: hook saw a different run or outcome", seeds[i])
+		}
+		switch {
+		case seeds[i]%2 != 0 && sr.Run != nil:
+			t.Fatalf("seed %d: a run the hook did not keep was returned", seeds[i])
+		case seeds[i]%2 == 0 && runDigest(t, sr.Run) != runDigest(t, fresh.Run):
+			t.Fatalf("seed %d: kept run differs from a fresh run", seeds[i])
+		}
+	}
+}
+
 // TestExtractFromRunsMatchesExtract locks the extraction reuse contract: the
 // pipeline over an externally materialised sample equals the end-to-end
 // pipeline byte for byte.

@@ -150,6 +150,16 @@ func ExecuteWith(eng *sim.Engine, spec Spec, seed int64) (*sim.Result, error) {
 	return res, nil
 }
 
+// executeView is ExecuteWith finishing through Engine.RunView: fn receives
+// the result with a run that aliases the engine and is valid only during the
+// call.
+func executeView(eng *sim.Engine, spec Spec, seed int64, fn func(*sim.Result)) error {
+	if err := eng.RunView(BuildConfig(spec, seed), fn); err != nil {
+		return fmt.Errorf("scenario %q seed %d: %w", spec.Name, seed, err)
+	}
+	return nil
+}
+
 // Seeds returns count deterministic seeds derived from base.
 func Seeds(base int64, count int) []int64 {
 	out := make([]int64, count)
