@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,18 +23,11 @@ import (
 
 // plantSeedCall registers a fake in-flight claim for one seed, as if a
 // concurrent request owned its computation.  The returned publish function
-// completes it with the owner protocol (deregister, then close).
-func plantSeedCall(s *scheduler, key store.Key) (*seedCall, func()) {
-	c := &seedCall{done: make(chan struct{})}
-	s.mu.Lock()
-	s.seedflight[key] = c
-	s.mu.Unlock()
-	return c, func() {
-		s.mu.Lock()
-		delete(s.seedflight, key)
-		s.mu.Unlock()
-		close(c.done)
-	}
+// completes it with the owner protocol (deregister, then close), publishing
+// whatever value and error the test set on the call.
+func plantSeedCall(s *scheduler, key store.Key) (*flightCall[seedResult], func()) {
+	c, _ := s.seeds.claim(key, obs.TraceID{})
+	return c, func() { s.seeds.publish(key, c, c.val, c.err) }
 }
 
 // awaitSeedRecord polls until the per-seed record exists in the corpus —
@@ -89,7 +83,7 @@ func TestJoinedOutcomesEmitted(t *testing.T) {
 	}()
 
 	awaitSeedRecord(t, srv.store, SweepSeedKey(req.Scenario, "", seeds[0]))
-	c.outcome = res.Outcomes[0]
+	c.val.outcome = res.Outcomes[0]
 	publish()
 
 	if err := <-done; err != nil {
@@ -162,6 +156,65 @@ func TestJoinerRecomputesOwnerLocalFailure(t *testing.T) {
 			}
 			if ss := srv.sched.Stats(); ss.SeedsComputed != uint64(len(seeds)) {
 				t.Fatalf("SeedsComputed = %d, want %d (joiner recomputes the failed seed)", ss.SeedsComputed, len(seeds))
+			}
+		})
+	}
+}
+
+// joinSignal is a context that reports the first time its request selects
+// on Done — for Extract, the moment a joiner starts waiting on the owner's
+// flight call, since nothing before the wait consults the context.
+type joinSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *joinSignal) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestExtractJoinerRecomputesOwnerLocalFailure is
+// TestJoinerRecomputesOwnerLocalFailure for the extraction flight table: a
+// joiner whose owner was shed or abandoned re-claims the pipeline and runs
+// it itself instead of answering with a status its client never earned.
+func TestExtractJoinerRecomputesOwnerLocalFailure(t *testing.T) {
+	for name, ownerErr := range map[string]error{
+		"shed":      overloaded(errors.New("owner: compute queue full"), time.Second),
+		"abandoned": &httpError{status: http.StatusServiceUnavailable, err: errors.New("owner: request abandoned")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			req := ExtractRequest{Extraction: "kx-perfect", Runs: 6, SeedBase: 1}
+			key := store.KeySpec{Kind: "extract", Name: req.Extraction, SeedBase: req.SeedBase, Count: req.Runs}.Key()
+			c, _ := srv.sched.extracts.claim(key, obs.TraceID{})
+
+			ctx := &joinSignal{Context: context.Background(), waiting: make(chan struct{})}
+			done := make(chan error, 1)
+			var status CacheStatus
+			go func() {
+				var err error
+				_, status, err = srv.sched.Extract(ctx, req, nil)
+				done <- err
+			}()
+
+			<-ctx.waiting
+			srv.sched.extracts.publish(key, c, extractResult{}, ownerErr)
+
+			if err := <-done; err != nil {
+				t.Fatalf("joiner inherited the owner's failure instead of recomputing: %v", err)
+			}
+			if status != CacheMiss {
+				t.Fatalf("recomputed extraction graded %q, want %q", status, CacheMiss)
+			}
+			if ss := srv.sched.Stats(); ss.Computed != 2 || ss.Coalesced != 0 {
+				t.Fatalf("fleet jobs = %d, coalesced = %d; want 2 (the joiner ran the pipeline) and 0", ss.Computed, ss.Coalesced)
 			}
 		})
 	}

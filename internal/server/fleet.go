@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -49,13 +47,13 @@ type ClaimRequest struct {
 
 func (r *ClaimRequest) normalize() error {
 	if r.Scenario == "" {
-		return fmt.Errorf("scenario is required")
+		return badRequest(fmt.Errorf("scenario is required"))
 	}
 	if len(r.Seeds) == 0 {
-		return fmt.Errorf("seeds are required")
+		return badRequest(fmt.Errorf("seeds are required"))
 	}
 	if len(r.Seeds) > MaxSeeds {
-		return fmt.Errorf("claim of %d seeds exceeds the %d-seed bound", len(r.Seeds), MaxSeeds)
+		return badRequest(fmt.Errorf("claim of %d seeds exceeds the %d-seed bound", len(r.Seeds), MaxSeeds))
 	}
 	return nil
 }
@@ -241,10 +239,7 @@ func (t *httpClaimTransport) Claim(ctx context.Context, peer, traceparent string
 		return nil, fmt.Errorf("fleet: peer %s: read claim response: %w", peer, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		se := &fleet.StatusError{Peer: peer, Status: resp.StatusCode}
-		if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
-			se.RetryAfter = time.Duration(secs) * time.Second
-		}
+		se := &fleet.StatusError{Peer: peer, Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 		var e errorResponse
 		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
 			se.Msg = e.Error
@@ -254,98 +249,46 @@ func (t *httpClaimTransport) Claim(ctx context.Context, peer, traceparent string
 	return raw, nil
 }
 
-// registryScenario resolves a scenario (and optional adversary override)
-// against the catalog, tagging unknown names 404 — the lookup half that
-// Sweep and Claim share.
-func registryScenario(name, adversary string) (registry.Scenario, error) {
-	sc, err := registry.LookupScenario(name)
-	if err != nil {
-		return registry.Scenario{}, notFound(err)
-	}
-	if adversary != "" {
-		adv, _, err := registry.Adversary(adversary)
-		if err != nil {
-			return registry.Scenario{}, notFound(err)
-		}
-		sc.Spec.Adversary = adv
-	}
-	return sc, nil
-}
-
 // Claim serves one fleet-internal claim: resolve the requested seeds of a
 // catalogued scenario strictly locally (corpus → flight table → worker
 // fleet; never another claim RPC, so claims cannot recurse across the
 // fleet) and encode them as a binary sweep record.  The record's per-seed
 // outcomes carry explicit seeds, so an arbitrary non-contiguous claim set
 // round-trips exactly.
-func (s *scheduler) Claim(ctx context.Context, req ClaimRequest, tr *obs.Trace) (payload []byte, status CacheStatus, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sc, err := registryScenario(req.Scenario, req.Adversary)
-	if err != nil {
-		s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
-		return nil, CacheMiss, err
-	}
+func (s *scheduler) Claim(ctx context.Context, req ClaimRequest, tr *obs.Trace) ([]byte, CacheStatus, error) {
 	s.count(func(st *SchedulerStats) { st.Requests++ })
-	res, err := s.resolveSeeds(ctx, scenarioNamespace+sc.Name, req.Adversary, sc.Spec, sc.Eval, req.Seeds, false, true, tr, nil)
+	sc, src, err := scenarioSource(req.Scenario, req.Adversary)
 	if err != nil {
-		s.finish(CacheMiss, err)
-		return nil, CacheMiss, err
+		return s.finish(nil, CacheMiss, err)
 	}
-	encodeSpan := tr.Span("assemble")
-	payload = store.EncodeSweepRecord(&store.SweepRecord{
-		Scenario:  sc.Name,
-		Check:     sc.Check,
-		Adversary: req.Adversary,
-		SeedBase:  req.Seeds[0],
-		Outcomes:  res.outcomes,
-	})
-	encodeSpan.End()
-	status = res.status()
-	s.finish(status, nil)
-	return payload, status, nil
+	res, err := s.resolveSeeds(ctx, src, req.Seeds, nil, tr, nil)
+	if err != nil {
+		return s.finish(nil, CacheMiss, err)
+	}
+	return s.finish(encodeSweep(sc, req.Adversary, req.Seeds[0], res.outcomes, tr), res.status(), nil)
 }
 
-// handleClaim is the fleet-internal claim endpoint.  It is deliberately not
-// rate-limited (peers are trusted; admission happened at the coordinator's
-// ingress) but it is subject to the compute-queue gate and to draining —
-// both reject with statuses the coordinator's retry/fallback logic treats
-// as transient.
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/claim"
-	start := time.Now()
-	tr := s.beginTrace(r)
-	w.Header().Set("X-Trace-Id", tr.ID.String())
+// parseClaim decodes a fleet-internal claim.  The route is POST-only and
+// always answers with the binary container.
+func parseClaim(r *http.Request) (req ClaimRequest, format string, err error) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: errMethod.Error()})
-		s.finishRequest(route, formatBin, tr, start, "", errMethod)
-		return
+		return req, formatBin, errMethod
 	}
-	if err := s.admitDrain(); err != nil {
-		s.failRequest(w, route, formatBin, tr, start, err)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	var req ClaimRequest
-	err := json.NewDecoder(r.Body).Decode(&req)
-	if err == nil {
-		err = req.normalize()
-	}
-	if err != nil {
-		s.failRequest(w, route, formatBin, tr, start, badRequest(err))
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	payload, status, err := s.sched.Claim(ctx, req, tr)
-	if err != nil {
-		s.failRequest(w, route, formatBin, tr, start, err)
-		return
-	}
-	setCacheHeader(w, status)
-	s.writeTracedBinary(w, route, tr, start, status, payload)
+	err = decodeRequest(r, map[string]any{
+		"scenario":  &req.Scenario,
+		"adversary": &req.Adversary,
+		"seeds":     &req.Seeds,
+	}, req.normalize)
+	return req, formatBin, err
+}
+
+// serveClaim answers a claim.  The route is deliberately not rate-limited
+// (peers are trusted; admission happened at the coordinator's ingress) but
+// it is subject to the compute-queue gate and to draining — both reject with
+// statuses the coordinator's retry/fallback logic treats as transient.
+func (s *Server) serveClaim(ctx context.Context, x *exchange, req ClaimRequest) {
+	payload, status, err := s.sched.Claim(ctx, req, x.tr)
+	s.respond(x, payload, status, err, nil)
 }
 
 // FleetPeerJSON is one member's row in the /v1/fleet body.  Counters and

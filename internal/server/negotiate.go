@@ -166,9 +166,9 @@ func clientKey(r *http.Request) string {
 
 // admitRate applies the per-client rate limit to a corpus-backed route,
 // returning the 429 + Retry-After error a shed request is answered with (the
-// caller writes it, so the shed still finishes its trace).  The handlers call
-// it after decoding and validating, so only well-formed requests draw a
-// token — a malformed 400 must not drain its client's budget.
+// caller writes it, so the shed still finishes its trace).  corpusRoute
+// calls it after decoding and validating, so only well-formed requests draw
+// a token — a malformed 400 must not drain its client's budget.
 func (s *Server) admitRate(r *http.Request) error {
 	if s.limiter == nil {
 		return nil

@@ -125,46 +125,45 @@ func TestServerTimingHeader(t *testing.T) {
 	}
 }
 
-// TestDebugTiming pins the ?debug=timing envelope: the trace block carries
-// the stage breakdown and cache grade, and the embedded response is the
-// normal body byte for byte (modulo the body's trailing newline, which
-// cannot live inside a JSON value).
+// TestDebugTiming pins where a request's timing detail lives: the trace
+// named by its X-Trace-Id, served at /debug/traces/<id>, carries the stage
+// breakdown, total and cache grade, while the response body stays the golden
+// body byte for byte.
 func TestDebugTiming(t *testing.T) {
 	_, ts := newTestServer(t, "")
 	req := server.SweepRequest{Scenario: "prop3.1-strong-udc", Seeds: 4, SeedBase: 1}
 	golden := goldenSweepBody(t, req)
 	url := fmt.Sprintf("%s/v1/sweep?scenario=%s&seeds=%d&seedBase=%d", ts.URL, req.Scenario, req.Seeds, req.SeedBase)
 
-	code, _, body := get(t, url+"&debug=timing")
+	code, header, body := get(t, url)
 	if code != 200 {
 		t.Fatalf("HTTP %d: %s", code, body)
 	}
-	var env server.DebugTimingResponse
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("decode envelope: %v", err)
+	if !bytes.Equal(body, golden) {
+		t.Errorf("traced response differs from golden body:\n%s\nvs\n%s", body, golden)
 	}
-	if env.Trace.Cache != "miss" {
-		t.Errorf("trace cache = %q, want miss", env.Trace.Cache)
+	code, _, raw := get(t, ts.URL+"/debug/traces/"+header.Get("X-Trace-Id"))
+	if code != 200 {
+		t.Fatalf("/debug/traces/<id> HTTP %d: %s", code, raw)
 	}
-	if env.Trace.TotalMillis <= 0 {
-		t.Errorf("trace total = %v, want > 0", env.Trace.TotalMillis)
+	var detail server.TraceDetailJSON
+	if err := json.Unmarshal(raw, &detail); err != nil {
+		t.Fatalf("decode trace detail: %v", err)
+	}
+	if detail.Cache != "miss" {
+		t.Errorf("trace cache = %q, want miss", detail.Cache)
+	}
+	if detail.TotalMillis <= 0 {
+		t.Errorf("trace total = %v, want > 0", detail.TotalMillis)
 	}
 	names := map[string]bool{}
-	for _, st := range env.Trace.Stages {
+	for _, st := range detail.Stages {
 		names[st.Name] = true
 	}
 	for _, want := range []string{"resolve", "compute", "persist"} {
 		if !names[want] {
-			t.Errorf("trace stages %v lack %q", env.Trace.Stages, want)
+			t.Errorf("trace stages %v lack %q", detail.Stages, want)
 		}
-	}
-	if inner := append([]byte(env.Response), '\n'); !bytes.Equal(inner, golden) {
-		t.Errorf("embedded response differs from golden body:\n%s\nvs\n%s", inner, golden)
-	}
-
-	// The flag must not leak into normal responses.
-	if _, _, normal := get(t, url); !bytes.Equal(normal, golden) {
-		t.Errorf("normal body after a debug request differs from golden")
 	}
 }
 

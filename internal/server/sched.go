@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,32 +138,6 @@ func abandoned(ctx context.Context) error {
 	return &httpError{status: http.StatusServiceUnavailable, err: fmt.Errorf("server: request abandoned: %w", ctx.Err())}
 }
 
-// ownerLocal reports whether a failed seed computation's error is local to
-// the request that owned the claim rather than to the computation itself: an
-// admission shed (the owner's submit drew the 429) or an abandonment (the
-// owner's client went away).  Neither says anything about a request that
-// merely joined the claim, so joiners re-claim and recompute such seeds.
-func ownerLocal(err error) bool {
-	switch statusOf(err) {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return true
-	}
-	return false
-}
-
-// coalesceUpstream re-tags an owner-local failure that outlived a joiner's
-// re-claim budget: the joiner is answered with a retryable 503 — retryable
-// because the seeds are computable, 503 because the failure happened upstream
-// — instead of inheriting a 429 or abandonment status its own client never
-// earned.
-func coalesceUpstream(err error) error {
-	return &httpError{
-		status:     http.StatusServiceUnavailable,
-		retryAfter: time.Second,
-		err:        fmt.Errorf("server: coalesced seed computation failed upstream: %w", err),
-	}
-}
-
 // statusOf maps an error to its response status: a tagged status if one is
 // attached, 500 otherwise.
 func statusOf(err error) int {
@@ -204,30 +177,6 @@ func ExtractSeedKey(extraction, adversary string, seed int64) store.Key {
 	return store.SeedKeySpec(extractionNamespace+extraction, adversary, seed).Key()
 }
 
-// call is one in-flight request-level computation (extractions); duplicates
-// wait on done.  owner is the claiming request's trace ID (zero when untraced),
-// immutable after creation, so joiners link their traces to it without
-// synchronisation.
-type call struct {
-	done    chan struct{}
-	owner   obs.TraceID
-	payload []byte
-	status  CacheStatus
-	err     error
-}
-
-// seedCall is one in-flight per-seed computation.  Concurrent requests whose
-// windows overlap the owning request's missing seeds wait on done instead of
-// re-simulating.  owner is the claiming request's trace ID (zero when
-// untraced), immutable after creation.
-type seedCall struct {
-	done    chan struct{}
-	owner   obs.TraceID
-	outcome workload.RunOutcome
-	run     *model.Run
-	err     error
-}
-
 // fleetJob is one queued computation awaiting a dispatcher round: either a
 // missing-seed simulation task (batched with the round's other seed tasks
 // into one RunAll pass) or an extraction pipeline tail over already
@@ -252,11 +201,6 @@ type fleetJob struct {
 // maxBatch bounds the number of jobs one dispatcher round carries.
 const maxBatch = 64
 
-// maxClaimPasses bounds resolveSeeds' claim/join passes: the first pass plus
-// re-claims of seeds whose joined owner failed with an owner-local error
-// (shed or abandoned) that says nothing about this request.
-const maxClaimPasses = 3
-
 // scheduler turns validated requests into store payloads.  Every request
 // resolves into (cached seeds ∪ missing seeds): the cached side is served
 // from per-seed corpus records, the missing side is claimed in a seed-level
@@ -279,9 +223,13 @@ type scheduler struct {
 	// resolve path reads it without locking.
 	fleet *fleetCoordinator
 
-	mu         sync.Mutex
-	inflight   map[store.Key]*call
-	seedflight map[store.Key]*seedCall
+	// seeds and extracts are the flight tables: per-seed simulations, and
+	// whole extraction pipelines (the pipeline tail is one indivisible
+	// computation, so there is nothing finer to share).
+	seeds    flight[seedResult]
+	extracts flight[extractResult]
+
+	mu sync.Mutex
 	// sources holds the per-source seed traffic counters behind /v1/corpus,
 	// keyed by qualified name + NUL + adversary.  Guarded by mu.
 	sources map[string]*SourceStats
@@ -294,12 +242,8 @@ type scheduler struct {
 	// evicts its least recently released state.
 	exstates map[store.Key]cachedExState
 	exTick   uint64
-	// stats is guarded by mu.  Every mutation — count(), finish(), and the
-	// few direct s.stats.X++ increments in dispatch() and Extract() — must
-	// hold mu; the direct increments are legal only because their enclosing
-	// blocks already own the lock, and each is annotated at the site.  The
-	// race test TestConcurrentExtractCoalescedAccounting exercises the
-	// direct-increment paths under -race.
+	// stats is guarded by mu: every mutation goes through count(),
+	// finish(), account() or dispatch()'s locked block.
 	stats SchedulerStats
 
 	// pending counts fleet jobs submitted and not yet completed — the queue
@@ -320,8 +264,6 @@ func newScheduler(st *store.Store, workers int, batchWindow time.Duration, maxQu
 		runner:      workload.Runner{Workers: workers},
 		batchWindow: batchWindow,
 		maxQueue:    maxQueue,
-		inflight:    make(map[store.Key]*call),
-		seedflight:  make(map[store.Key]*seedCall),
 		sources:     make(map[string]*SourceStats),
 		exstates:    make(map[store.Key]cachedExState),
 		fleetq:      make(chan *fleetJob),
@@ -398,7 +340,6 @@ func (s *scheduler) dispatch() {
 			close(job.done)
 		}
 
-		// Direct stats increments: legal because this block owns mu.
 		s.mu.Lock()
 		s.stats.Batches++
 		s.stats.BatchedTasks += uint64(len(jobs))
@@ -489,11 +430,7 @@ func (s *scheduler) submit(ctx context.Context, job *fleetJob) error {
 // fleet jobs submitted and not yet completed, and seeds currently claimed in
 // the seed-level flight table.
 func (s *scheduler) gauges() (queueDepth, inflightSeeds int64) {
-	queueDepth = s.pending.Load()
-	s.mu.Lock()
-	inflightSeeds = int64(len(s.seedflight))
-	s.mu.Unlock()
-	return queueDepth, inflightSeeds
+	return s.pending.Load(), int64(s.seeds.len())
 }
 
 func (s *scheduler) count(f func(*SchedulerStats)) {
@@ -502,9 +439,9 @@ func (s *scheduler) count(f func(*SchedulerStats)) {
 	s.mu.Unlock()
 }
 
-// finish records a request's final accounting: its error, or its cache
-// classification.
-func (s *scheduler) finish(status CacheStatus, err error) {
+// finish records a request's final accounting — its error, or its cache
+// classification — and passes its result through.
+func (s *scheduler) finish(payload []byte, status CacheStatus, err error) ([]byte, CacheStatus, error) {
 	s.count(func(st *SchedulerStats) {
 		if err != nil {
 			st.Errors++
@@ -522,6 +459,7 @@ func (s *scheduler) finish(status CacheStatus, err error) {
 			st.Misses++
 		}
 	})
+	return payload, status, err
 }
 
 // Stats returns a snapshot of the scheduler's counters.
@@ -531,516 +469,39 @@ func (s *scheduler) Stats() SchedulerStats {
 	return s.stats
 }
 
-// resolution is the outcome of resolving one seed window against the corpus:
-// outcomes (and, when the caller asked for them, recorded runs) in seed
-// order, plus how each seed was obtained.
-type resolution struct {
-	outcomes []workload.RunOutcome
-	runs     model.System
-	cached   int
-	computed int
-	joined   int
-	// remote counts seeds resolved by fleet peers' claims; like computed
-	// seeds they grade as non-cached for X-Cache.
-	remote int
-}
-
-// status classifies the resolution for the X-Cache header.
-func (r resolution) status() CacheStatus {
-	switch {
-	case r.cached == len(r.outcomes):
-		return CacheHit
-	case r.cached > 0:
-		return CachePartial
-	default:
-		return CacheMiss
-	}
-}
-
-// resolveSeeds is the seed-granular heart of the scheduler.  It splits the
-// window into (cached ∪ in-flight ∪ missing): cached seeds decode from
-// per-seed corpus records, in-flight seeds join concurrent requests'
-// computations, and missing seeds — claimed atomically so no two requests
-// compute the same seed — are simulated in one dispatcher round and written
-// back as per-seed records.  qualifiedName namespaces the per-seed keys
-// ("scenario:"/"extraction:"); a nil eval simulates without scoring (and
-// accepts unscored cached records).  Cached records decode through a pooled
-// decoder, and only when needRuns is set (extraction sources) are the decoded
-// runs copied out of its buffers into the resolution; sweeps consume
-// outcomes alone, so their partial-hit path materialises no run at all.
-// tr (nil-safe) accumulates the stage timings: corpus reads under "resolve",
-// flight-table claims under "claim", fleet waits under "compute", per-seed
-// record writes under "persist" and outcome merging under "assemble".
-// A non-nil emit observes every resolved outcome as it becomes available —
-// cached seeds during the corpus read, computed seeds when their fleet round
-// lands, joined seeds as their owners publish them — in arrival order, on the
-// request's own goroutine; it is how streamed responses flush progressively.
-// ctx bounds the computation: an expired context sheds unclaimed work and
-// releases this request's seed claims; joiners of those claims do not inherit
-// this request's failure — they re-claim the seeds and recompute.
-//
-// In fleet mode, claimed scenario seeds whose corpus shard is owned by a
-// remote peer are resolved by claim RPCs instead of the local fleet round
-// ("remote" stage), overlapping the local compute; failed, suspect or slow
-// peers degrade to local recompute (see the fleet commentary in fleet.go),
-// so the assembled resolution is identical either way.  localOnly forces
-// everything local — set on claim handling, so claims never recurse across
-// the fleet, and irrelevant when needRuns is set (extraction source runs
-// are too heavy to ship; they always resolve locally).
-func (s *scheduler) resolveSeeds(ctx context.Context, qualifiedName, adversary string, spec workload.Spec, eval workload.Evaluator, seeds []int64, needRuns, localOnly bool, tr *obs.Trace, emit func(workload.RunOutcome)) (resolution, error) {
-	n := len(seeds)
-	keys := make([]store.Key, n)
-	for i, seed := range seeds {
-		keys[i] = store.SeedKeySpec(qualifiedName, adversary, seed).Key()
-	}
-
-	var cachedOut, computedOut, joinedOut, remoteOut []workload.RunOutcome
-	var runsBySeed map[int64]*model.Run
-	if needRuns {
-		runsBySeed = make(map[int64]*model.Run, n)
-	}
-	resolved := make([]bool, n)
-
-	dec := store.Decoders.Get()
-	defer store.Decoders.Put(dec)
-
-	// adopt folds a cached record into the resolution.  rec may be a
-	// transient view of dec's buffers: everything retained beyond the next
-	// decode — the run, when needed — is compacted into owned storage here.
-	adopt := func(rec *store.SeedRecord) *model.Run {
-		if eval != nil && !rec.Scored {
-			return nil
-		}
-		cachedOut = append(cachedOut, rec.Outcome())
-		if emit != nil {
-			emit(rec.Outcome())
-		}
-		run := rec.Run
-		if needRuns {
-			run = run.CompactClone()
-			runsBySeed[rec.Seed] = run
-		}
-		return run
-	}
-
-	resolveSpan := tr.Span("resolve")
-	for i, payload := range s.store.GetMulti(keys) {
-		if payload == nil {
-			continue
-		}
-		// A decode failure on a checksum-clean payload means an incompatible
-		// record (e.g. a different kind under a colliding key); recompute.
-		rec, err := dec.DecodeSeedRecord(payload)
-		if err == nil && rec.Seed == seeds[i] && adopt(rec) != nil {
-			resolved[i] = true
-		}
-	}
-	resolveSpan.End()
-
-	// Claim the unresolved seeds — joining any already in flight — compute
-	// the claims, and collect the joins.  The outer loop exists for the
-	// joiners: a joined owner can fail with an error that is local to it (its
-	// submit was shed by the admission gate, or its client disconnected and
-	// its context expired), which says nothing about this request.  Those
-	// seeds stay unresolved and the next pass re-claims them — an owner
-	// deregisters its flight entries before publishing failure, so the retry
-	// either becomes the owner, earning this request's own admission verdict,
-	// or joins a fresh owner.  Passes are bounded; an owner-local error that
-	// survives them is re-tagged by coalesceUpstream so the joiner's client is
-	// answered with a retryable 503 rather than a status it never earned.
-	// This request's own submit errors propagate unmodified.
-	var computeErr error
-	joinedTotal := 0
-	for pass := 1; computeErr == nil; pass++ {
-		claimSpan := tr.Span("claim")
-		var owned []int
-		ownedCalls := make(map[int]*seedCall)
-		var joined []int
-		var joinedCalls []*seedCall
-		s.mu.Lock()
-		for i := range seeds {
-			if resolved[i] {
-				continue
-			}
-			if c, ok := s.seedflight[keys[i]]; ok {
-				joined = append(joined, i)
-				joinedCalls = append(joinedCalls, c)
-				continue
-			}
-			c := &seedCall{done: make(chan struct{}), owner: tr.TraceIDOrZero()}
-			s.seedflight[keys[i]] = c
-			owned = append(owned, i)
-			ownedCalls[i] = c
-		}
-		s.mu.Unlock()
-		if len(owned) == 0 && len(joined) == 0 {
-			claimSpan.End()
-			break
-		}
-
-		// An identical seed may have been computed and stored between our batch
-		// read and the flight registration; it was stored before its call
-		// deregistered, so one uncounted probe per claimed seed closes the race
-		// and keeps overlapping requests at exactly one computation per seed.
-		stillOwned := owned[:0]
-		for _, i := range owned {
-			var rec *store.SeedRecord
-			if payload, ok := s.store.Probe(keys[i]); ok {
-				if r, err := dec.DecodeSeedRecord(payload); err == nil && r.Seed == seeds[i] && (eval == nil || r.Scored) {
-					rec = r
-				}
-			}
-			if rec == nil {
-				stillOwned = append(stillOwned, i)
-				continue
-			}
-			// Joiners on this key come from the same namespace, so they need the
-			// run exactly when this request does; the published run is adopt's
-			// owned copy, never the decoder's transient view.
-			run := adopt(rec)
-			resolved[i] = true
-			c := ownedCalls[i]
-			c.outcome = rec.Outcome()
-			if needRuns {
-				c.run = run
-			}
-			s.mu.Lock()
-			delete(s.seedflight, keys[i])
-			s.mu.Unlock()
-			close(c.done)
-		}
-		owned = stillOwned
-		claimSpan.End()
-
-		// Simulate the claimed seeds — remote-owned ones via their peers'
-		// claim RPCs, the rest in one local dispatcher round — persist the
-		// local results as per-seed records, and publish every owned seed
-		// (outcome or failure) to any requests that joined.
-		if len(owned) > 0 {
-			localOwned := owned
-			var remoteGroups map[string][]int
-			if s.fleet != nil && !needRuns && !localOnly && strings.HasPrefix(qualifiedName, scenarioNamespace) {
-				localOwned, remoteGroups = s.fleet.partition(keys, owned)
-			}
-
-			// published tracks which owned indices have had their flight
-			// entry closed this pass (success or failure), so the hedge and
-			// late remote results cannot double-publish; settled counts them,
-			// so the collection loop can stop waiting on a slow peer the
-			// moment a hedge has answered everything.
-			published := make(map[int]bool, len(owned))
-			settled := 0
-
-			// publishSeed resolves one owned index: the outcome joins the
-			// resolution (and the stream), the flight entry is deregistered
-			// and published.  Remote outcomes carry no run — sweeps never
-			// need one, and remote routing is gated on !needRuns, so every
-			// possible joiner of these keys consumes outcomes only.
-			publishSeed := func(i int, out workload.RunOutcome, run *model.Run, remote bool) {
-				if remote {
-					remoteOut = append(remoteOut, out)
-				} else {
-					computedOut = append(computedOut, out)
-				}
-				if emit != nil {
-					emit(out)
-				}
-				if needRuns {
-					runsBySeed[out.Seed] = run
-				}
-				resolved[i] = true
-				published[i] = true
-				settled++
-				c := ownedCalls[i]
-				c.outcome, c.run = out, run
-				s.mu.Lock()
-				delete(s.seedflight, keys[i])
-				s.mu.Unlock()
-				close(c.done)
-			}
-
-			// publishFailure releases still-claimed indices with ferr;
-			// joiners inspect it (ownerLocal) to decide whether to re-claim.
-			publishFailure := func(idxs []int, ferr error) {
-				for _, i := range idxs {
-					if published[i] {
-						continue
-					}
-					published[i] = true
-					settled++
-					c := ownedCalls[i]
-					c.err = ferr
-					s.mu.Lock()
-					delete(s.seedflight, keys[i])
-					s.mu.Unlock()
-					close(c.done)
-				}
-			}
-
-			// computeLocal simulates owned indices in one dispatcher round,
-			// persists them as per-seed records and publishes them.  It
-			// serves the local partition, the hedge, and degraded-mode
-			// fallback alike; a failed round publishes the failure.  Each
-			// seed's record is encoded by the worker that simulated it, so
-			// the persist stage is only the corpus write.
-			computeLocal := func(idxs []int) error {
-				if len(idxs) == 0 {
-					return nil
-				}
-				ownedSeeds := make([]int64, len(idxs))
-				for j, i := range idxs {
-					ownedSeeds[j] = seeds[i]
-				}
-				job := &fleetJob{
-					runs: &workload.Task{Spec: spec, Seeds: ownedSeeds, Eval: eval, OnSeed: store.SeedRecorder(eval != nil, needRuns)},
-					done: make(chan struct{}),
-				}
-				computeSpan := tr.Span("compute")
-				err := s.submit(ctx, job)
-				computeSpan.End()
-				if err != nil {
-					publishFailure(idxs, err)
-					return err
-				}
-				persistSpan := tr.Span("persist")
-				putKeys := make([]store.Key, len(idxs))
-				putPayloads := make([][]byte, len(idxs))
-				for j, i := range idxs {
-					putKeys[j] = keys[i]
-					putPayloads[j] = job.seedRuns[j].Record
-				}
-				if failed, _ := s.store.PutMulti(putKeys, putPayloads); failed > 0 {
-					s.count(func(st *SchedulerStats) { st.PutErrors += uint64(failed) })
-				}
-				persistSpan.End()
-				for j, i := range idxs {
-					sr := job.seedRuns[j]
-					publishSeed(i, sr.Outcome, sr.Run, false)
-				}
-				return nil
-			}
-
-			// Launch the remote claims first so they overlap the local
-			// round.  The goroutines touch nothing of the request's state —
-			// they speak to the transport and deliver on the channel; all
-			// publication happens here on the request goroutine (tr and emit
-			// are not concurrency-safe).
-			type remoteResult struct {
-				peer     string
-				idxs     []int
-				outcomes []workload.RunOutcome
-				err      error
-			}
-			var remoteCh chan remoteResult
-			if len(remoteGroups) > 0 {
-				remoteCh = make(chan remoteResult, len(remoteGroups))
-				traceID := tr.TraceIDOrZero()
-				scenario := strings.TrimPrefix(qualifiedName, scenarioNamespace)
-				for peer, idxs := range remoteGroups {
-					rseeds := make([]int64, len(idxs))
-					for j, i := range idxs {
-						rseeds[j] = seeds[i]
-					}
-					go func(peer string, idxs []int, rseeds []int64) {
-						outs, err := s.fleet.claim(ctx, peer, traceID, scenario, adversary, rseeds)
-						remoteCh <- remoteResult{peer: peer, idxs: idxs, outcomes: outs, err: err}
-					}(peer, idxs, rseeds)
-				}
-			}
-
-			computeErr = computeLocal(localOwned)
-
-			// Collect the remote claims.  The loop runs until every owned
-			// index is settled or the last group reports — claims honour
-			// ctx, so after an error or an expired context they return
-			// promptly, and every flight entry is published (outcome or
-			// failure) before this request lets go of its claims.
-			// Degradation: a failed group is recomputed locally; once
-			// HedgeDelay elapses every still-missing seed is hedged with a
-			// local recompute, at which point the loop exits without waiting
-			// for the slow peer (its goroutine delivers into the buffered
-			// channel and is dropped) — outcomes are deterministic, so
-			// either side's answer is the same bytes.
-			if remoteCh != nil {
-				var hedgeTimer *time.Timer
-				var hedgeC <-chan time.Time
-				if s.fleet.cfg.HedgeDelay > 0 && computeErr == nil {
-					hedgeTimer = time.NewTimer(s.fleet.cfg.HedgeDelay)
-					hedgeC = hedgeTimer.C
-				}
-				openIdxs := func(idxs []int) []int {
-					var open []int
-					for _, i := range idxs {
-						if !published[i] {
-							open = append(open, i)
-						}
-					}
-					return open
-				}
-				remoteSpan := tr.Span("remote")
-				ctxC := ctx.Done()
-				for pending := len(remoteGroups); pending > 0 && settled < len(owned); {
-					select {
-					case res := <-remoteCh:
-						pending--
-						if res.err == nil {
-							for j, i := range res.idxs {
-								if !published[i] {
-									publishSeed(i, res.outcomes[j], nil, true)
-								}
-							}
-							continue
-						}
-						open := openIdxs(res.idxs)
-						if len(open) == 0 {
-							continue
-						}
-						s.fleet.health.NoteFallback(res.peer, len(open))
-						if computeErr == nil {
-							computeErr = computeLocal(open)
-						} else {
-							publishFailure(open, computeErr)
-						}
-					case <-hedgeC:
-						hedgeC = nil
-						var open []int
-						for peer, idxs := range remoteGroups {
-							if g := openIdxs(idxs); len(g) > 0 {
-								s.fleet.health.NoteHedge(peer)
-								open = append(open, g...)
-							}
-						}
-						if computeErr == nil {
-							computeErr = computeLocal(open)
-						} else {
-							publishFailure(open, computeErr)
-						}
-					case <-ctxC:
-						ctxC = nil
-						if computeErr == nil {
-							computeErr = abandoned(ctx)
-						}
-					}
-				}
-				if hedgeTimer != nil {
-					hedgeTimer.Stop()
-				}
-				remoteSpan.End()
-			}
-		}
-
-		// Collect the seeds concurrent requests computed for us.  The wait is
-		// compute time: someone's fleet round is producing these seeds.  An
-		// expired request context stops waiting — the owners' computations are
-		// unaffected, this request just stops consuming them.
-		joinSpan := tr.Span("compute")
-		retry := false
-		for j, c := range joinedCalls {
-			if computeErr != nil {
-				break
-			}
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				// The owners' computations are unaffected; this request just
-				// stops consuming them (c stays untouched — it is published by
-				// its owner, not us).
-				computeErr = abandoned(ctx)
-				continue
-			}
-			if c.err != nil {
-				if ownerLocal(c.err) {
-					// The owner's failure, not the seeds': leave them
-					// unresolved for the next pass to re-claim, or re-tag
-					// once the retry budget is spent.
-					if pass < maxClaimPasses {
-						retry = true
-					} else {
-						computeErr = coalesceUpstream(c.err)
-					}
-					continue
-				}
-				computeErr = c.err
-				continue
-			}
-			joinedOut = append(joinedOut, c.outcome)
-			// Span link: this request consumed a seed computed under the
-			// owner's trace.
-			tr.Link(c.owner)
-			if emit != nil {
-				emit(c.outcome)
-			}
-			if needRuns {
-				runsBySeed[c.outcome.Seed] = c.run
-			}
-			resolved[joined[j]] = true
-			joinedTotal++
-		}
-		joinSpan.End()
-		if !retry {
-			break
-		}
-	}
-	if computeErr != nil {
-		return resolution{}, computeErr
-	}
-
-	assembleSpan := tr.Span("assemble")
-	outcomes, err := workload.MergeOutcomes(seeds, cachedOut, computedOut, joinedOut, remoteOut)
-	if err != nil {
-		return resolution{}, err
-	}
-	res := resolution{
-		outcomes: outcomes,
-		cached:   len(cachedOut),
-		computed: len(computedOut),
-		joined:   joinedTotal,
-		remote:   len(remoteOut),
-	}
-	if needRuns {
-		res.runs = make(model.System, n)
-		for i, seed := range seeds {
-			res.runs[i] = runsBySeed[seed]
-		}
-	}
-	assembleSpan.End()
-
-	tr.AddSeeds(obs.SeedCounts{Requested: n, Cached: res.cached, Computed: res.computed, Coalesced: res.joined, Remote: res.remote})
-	s.count(func(st *SchedulerStats) {
-		st.SeedsRequested += uint64(n)
-		st.SeedsCached += uint64(res.cached)
-		st.SeedsComputed += uint64(res.computed)
-		st.SeedsCoalesced += uint64(res.joined)
-		st.SeedsRemote += uint64(res.remote)
-		if res.computed == 0 && res.joined > 0 {
-			st.Coalesced++
-		}
-	})
-	if n > 0 {
-		s.noteSource(qualifiedName, adversary, seeds[0], seeds[n-1], res.cached, res.computed, res.joined, res.remote)
-	}
-	return res, nil
-}
-
-// noteSource folds one window resolution into the per-source seed counters
-// behind /v1/corpus.  Counters describe observed traffic since the server
-// started — per-seed corpus records do not carry their source name (keys are
+// account folds one resolution's seed counts into the request's trace, the
+// scheduler counters and its source's traffic counters behind /v1/corpus.
+// Per-seed corpus records do not carry their source name (keys are
 // digests), so live accounting is the only per-source view there is.
-func (s *scheduler) noteSource(qualifiedName, adversary string, first, last int64, cached, computed, joined, remote int) {
+func (s *scheduler) account(src seedSource, seeds []int64, c obs.SeedCounts, tr *obs.Trace) {
+	tr.AddSeeds(c)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := qualifiedName + "\x00" + adversary
-	c, ok := s.sources[key]
-	if !ok {
-		c = &SourceStats{Source: qualifiedName, Adversary: adversary, MinSeed: first, MaxSeed: last}
-		s.sources[key] = c
+	st := &s.stats
+	st.SeedsRequested += uint64(c.Requested)
+	st.SeedsCached += uint64(c.Cached)
+	st.SeedsComputed += uint64(c.Computed)
+	st.SeedsCoalesced += uint64(c.Coalesced)
+	st.SeedsRemote += uint64(c.Remote)
+	if c.Computed == 0 && c.Coalesced > 0 {
+		st.Coalesced++
 	}
-	c.MinSeed = min(c.MinSeed, first)
-	c.MaxSeed = max(c.MaxSeed, last)
-	c.SeedsCached += uint64(cached)
-	c.SeedsComputed += uint64(computed)
-	c.SeedsCoalesced += uint64(joined)
-	c.SeedsRemote += uint64(remote)
+	if len(seeds) == 0 {
+		return
+	}
+	first, last := seeds[0], seeds[len(seeds)-1]
+	key := src.name + "\x00" + src.adversary
+	ss, ok := s.sources[key]
+	if !ok {
+		ss = &SourceStats{Source: src.name, Adversary: src.adversary, MinSeed: first, MaxSeed: last}
+		s.sources[key] = ss
+	}
+	ss.MinSeed = min(ss.MinSeed, first)
+	ss.MaxSeed = max(ss.MaxSeed, last)
+	ss.SeedsCached += uint64(c.Cached)
+	ss.SeedsComputed += uint64(c.Computed)
+	ss.SeedsCoalesced += uint64(c.Coalesced)
+	ss.SeedsRemote += uint64(c.Remote)
 }
 
 // SourcesSnapshot returns the per-source seed counters, sorted by source then
@@ -1061,31 +522,61 @@ func (s *scheduler) SourcesSnapshot() []SourceStats {
 	return out
 }
 
-// Sweep serves one validated sweep request, returning the encoded record and
-// how much of it came from the corpus.  tr (nil-safe) collects per-stage
-// timings for the Server-Timing header and ?debug=timing traces.  A non-nil
-// emit observes every per-seed outcome as the flight table resolves it (see
-// resolveSeeds); on the window-record fast path the stored record is decoded
-// and replayed through emit, so streamed responses carry the same record set
-// whatever the cache grade.  ctx bounds the request's compute.
-func (s *scheduler) Sweep(ctx context.Context, req SweepRequest, tr *obs.Trace, emit func(workload.RunOutcome)) (payload []byte, status CacheStatus, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sc, err := registry.LookupScenario(req.Scenario)
+// scenarioSource resolves a scenario, with an optional adversary override,
+// against the catalog — tagging unknown names 404 — into the seed source
+// that sweeps and claims resolve.
+func scenarioSource(name, adversary string) (registry.Scenario, seedSource, error) {
+	sc, err := registry.LookupScenario(name)
 	if err != nil {
-		s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
-		return nil, CacheMiss, notFound(err)
+		return sc, seedSource{}, notFound(err)
 	}
-	if req.Adversary != "" {
-		adv, _, err := registry.Adversary(req.Adversary)
+	if adversary != "" {
+		adv, _, err := registry.Adversary(adversary)
 		if err != nil {
-			s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
-			return nil, CacheMiss, notFound(err)
+			return sc, seedSource{}, notFound(err)
 		}
 		sc.Spec.Adversary = adv
 	}
+	return sc, seedSource{name: scenarioNamespace + sc.Name, adversary: adversary, spec: sc.Spec, eval: sc.Eval}, nil
+}
+
+// encodeSweep assembles resolved outcomes into the sweep record that both
+// sweep and claim responses carry.
+func encodeSweep(sc registry.Scenario, adversary string, seedBase int64, outcomes []workload.RunOutcome, tr *obs.Trace) []byte {
+	span := tr.Span("assemble")
+	defer span.End()
+	return store.EncodeSweepRecord(&store.SweepRecord{
+		Scenario:  sc.Name,
+		Check:     sc.Check,
+		Adversary: adversary,
+		SeedBase:  seedBase,
+		Outcomes:  outcomes,
+	})
+}
+
+// persist writes an assembled request-level record to the corpus.  A failed
+// write is counted, not fatal: caching is an optimisation.
+func (s *scheduler) persist(key store.Key, payload []byte, tr *obs.Trace) {
+	span := tr.Span("persist")
+	defer span.End()
+	if err := s.store.Put(key, payload); err != nil {
+		s.count(func(st *SchedulerStats) { st.PutErrors++ })
+	}
+}
+
+// Sweep serves one validated sweep request, returning the encoded record and
+// how much of it came from the corpus.  tr (nil-safe) collects per-stage
+// timings for the Server-Timing header and the trace log.  A non-nil emit
+// observes every per-seed outcome as the flight table resolves it (see
+// resolveSeeds); on the window-record fast path the stored record is decoded
+// and replayed through emit, so streamed responses carry the same record set
+// whatever the cache grade.  ctx bounds the request's compute.
+func (s *scheduler) Sweep(ctx context.Context, req SweepRequest, tr *obs.Trace, emit func(workload.RunOutcome)) ([]byte, CacheStatus, error) {
 	s.count(func(st *SchedulerStats) { st.Requests++ })
+	sc, src, err := scenarioSource(req.Scenario, req.Adversary)
+	if err != nil {
+		return s.finish(nil, CacheMiss, err)
+	}
 
 	// Request-level fast path: an identical window was served before, so its
 	// assembled record is already in the corpus (uncounted probe — a miss
@@ -1103,64 +594,52 @@ func (s *scheduler) Sweep(ctx context.Context, req SweepRequest, tr *obs.Trace, 
 			}
 		}
 		tr.AddSeeds(obs.SeedCounts{Requested: req.Seeds, Cached: req.Seeds})
-		s.finish(CacheHit, nil)
-		return payload, CacheHit, nil
+		return s.finish(payload, CacheHit, nil)
 	}
 
-	res, err := s.resolveSeeds(ctx, scenarioNamespace+sc.Name, req.Adversary, sc.Spec, sc.Eval, workload.Seeds(req.SeedBase, req.Seeds), false, false, tr, emit)
+	res, err := s.resolveSeeds(ctx, src, workload.Seeds(req.SeedBase, req.Seeds), s.fleet, tr, emit)
 	if err != nil {
-		s.finish(CacheMiss, err)
-		return nil, CacheMiss, err
+		return s.finish(nil, CacheMiss, err)
 	}
-	encodeSpan := tr.Span("assemble")
-	payload = store.EncodeSweepRecord(&store.SweepRecord{
-		Scenario:  sc.Name,
-		Check:     sc.Check,
-		Adversary: req.Adversary,
-		SeedBase:  req.SeedBase,
-		Outcomes:  res.outcomes,
-	})
-	encodeSpan.End()
+	payload = encodeSweep(sc, req.Adversary, req.SeedBase, res.outcomes, tr)
 	// Persist the assembled window unless this request was fully coalesced —
 	// its seeds are being written by their owners, so a repeat resolves as a
 	// pure per-seed assembly and persists then.  Pure assemblies do persist,
 	// so a repeatedly requested subset graduates to the window-record fast
 	// path instead of re-assembling forever.
-	if res.computed > 0 || res.remote > 0 || res.joined == 0 {
-		persistSpan := tr.Span("persist")
-		if perr := s.store.Put(key, payload); perr != nil {
-			s.count(func(st *SchedulerStats) { st.PutErrors++ })
-		}
-		persistSpan.End()
+	if c := res.counts; c.Computed > 0 || c.Remote > 0 || c.Coalesced == 0 {
+		s.persist(key, payload, tr)
 	}
-	status = res.status()
-	s.finish(status, nil)
-	return payload, status, nil
+	return s.finish(payload, res.status(), nil)
+}
+
+// extractResult is an extraction as its flight call publishes it: the
+// encoded record and its cache grade.
+type extractResult struct {
+	payload []byte
+	status  CacheStatus
 }
 
 // Extract serves one validated extract request, returning the encoded record
 // and how much of it came from the corpus.  The whole-pipeline record is the
 // request-level cache; on a miss, the simulate stage reuses cached per-seed
-// source runs and only the pipeline tail is recomputed.  tr (nil-safe)
-// collects per-stage timings for the Server-Timing header and ?debug=timing
-// traces.  ctx bounds the request's compute; the pipeline tail is one
-// indivisible computation, so there is no per-seed emit here — streamed
-// extraction responses replay the decoded record instead.
-func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Trace) (payload []byte, status CacheStatus, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// source runs and only the pipeline tail is recomputed.  Identical
+// concurrent extractions coalesce in the extraction flight table.  tr
+// (nil-safe) collects per-stage timings.  ctx bounds the request's compute;
+// the pipeline tail is one indivisible computation, so there is no per-seed
+// emit here — streamed extraction responses replay the decoded record
+// instead.
+func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Trace) ([]byte, CacheStatus, error) {
+	s.count(func(st *SchedulerStats) { st.Requests++ })
 	sc, err := registry.LookupExtraction(req.Extraction)
 	if err != nil {
-		s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
-		return nil, CacheMiss, notFound(err)
+		return s.finish(nil, CacheMiss, notFound(err))
 	}
 	ext := sc.Extraction
 	if req.Adversary != "" {
 		adv, _, err := registry.Adversary(req.Adversary)
 		if err != nil {
-			s.count(func(st *SchedulerStats) { st.Requests++; st.Errors++ })
-			return nil, CacheMiss, notFound(err)
+			return s.finish(nil, CacheMiss, notFound(err))
 		}
 		ext.Source.Adversary = adv
 	}
@@ -1170,115 +649,94 @@ func (s *scheduler) Extract(ctx context.Context, req ExtractRequest, tr *obs.Tra
 	if req.SeedBase != 0 {
 		ext.BaseSeed = req.SeedBase
 	}
-	s.count(func(st *SchedulerStats) { st.Requests++ })
 
-	spec := store.KeySpec{Kind: "extract", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed, Count: ext.Runs}
-	key := spec.Key()
+	key := store.KeySpec{Kind: "extract", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed, Count: ext.Runs}.Key()
 	probeSpan := tr.Span("resolve")
 	payload, probed := s.store.Probe(key)
 	probeSpan.End()
 	if probed {
 		tr.AddSeeds(obs.SeedCounts{Requested: ext.Runs, Cached: ext.Runs})
-		s.finish(CacheHit, nil)
-		return payload, CacheHit, nil
+		return s.finish(payload, CacheHit, nil)
 	}
 
-	// Identical concurrent extractions coalesce at request level: the
-	// pipeline tail is one indivisible computation, so there is nothing
-	// finer to share.
-	claimSpan := tr.Span("claim")
-	s.mu.Lock()
-	if c, ok := s.inflight[key]; ok {
-		// Direct stats increment: legal because this block owns mu (taken
-		// three lines up, released below before the wait).
-		s.stats.Coalesced++
-		s.mu.Unlock()
+	for pass := 1; ; pass++ {
+		claimSpan := tr.Span("claim")
+		c, owned := s.extracts.claim(key, tr.TraceIDOrZero())
 		claimSpan.End()
-		// Span link: whatever the wait's outcome, this response is the owning
-		// request's work.
-		tr.Link(c.owner)
-		tr.AddSeeds(obs.SeedCounts{Requested: ext.Runs, Coalesced: ext.Runs})
+		if owned {
+			v, err := s.runExtraction(ctx, req, sc.Stress, ext, key, tr)
+			s.extracts.publish(key, c, v, err)
+			return s.finish(v.payload, v.status, err)
+		}
 		// The wait is compute time: the owning request's pipeline tail is
 		// producing this response.
 		waitSpan := tr.Span("compute")
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			waitSpan.End()
-			err := abandoned(ctx)
-			s.finish(CacheMiss, err)
-			return nil, CacheMiss, err
-		}
+		v, retry, err := c.wait(ctx, pass)
 		waitSpan.End()
-		s.finish(c.status, c.err)
-		return c.payload, c.status, c.err
+		if !retry {
+			// Span link: whatever the wait's outcome, this response is the
+			// owning request's work.
+			tr.Link(c.owner)
+			tr.AddSeeds(obs.SeedCounts{Requested: ext.Runs, Coalesced: ext.Runs})
+			s.count(func(st *SchedulerStats) { st.Coalesced++ })
+			return s.finish(v.payload, v.status, err)
+		}
 	}
-	c := &call{done: make(chan struct{}), owner: tr.TraceIDOrZero()}
-	s.inflight[key] = c
-	s.mu.Unlock()
-	claimSpan.End()
+}
 
+// runExtraction computes an extraction whose flight call this request owns:
+// resolve the source runs the cached index state does not cover, run the
+// pipeline tail over them, and encode and persist the record.
+func (s *scheduler) runExtraction(ctx context.Context, req ExtractRequest, stress bool, ext workload.Extraction, key store.Key, tr *obs.Trace) (extractResult, error) {
 	reprobeSpan := tr.Span("resolve")
 	stored, restored := s.store.Probe(key)
 	reprobeSpan.End()
 	if restored {
-		c.payload, c.status = stored, CacheHit
-	} else {
-		c.status = CacheMiss
-		// The pipeline's index state is cached by identity (window size
-		// excluded): a window that extends a previously served one resolves
-		// only the uncovered tail seeds and feeds them to System.Add.  A
-		// window smaller than the cached prefix rebuilds from scratch —
-		// knowledge is relative to the whole system, so a smaller window
-		// needs its own index — and the larger state returns to the cache.
-		stateID := store.KeySpec{Kind: "exstate", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed}.Key()
-		exState := s.claimExtractionState(stateID)
-		if exState.Indexed > ext.Runs {
-			s.releaseExtractionState(stateID, exState)
-			exState = &workload.ExtractionState{}
-		}
-		reused := exState.Indexed
-		seeds := workload.Seeds(ext.BaseSeed, ext.Runs)[reused:]
-		var res resolution
-		if len(seeds) > 0 {
-			res, c.err = s.resolveSeeds(ctx, extractionNamespace+req.Extraction, req.Adversary, ext.Source, nil, seeds, true, false, tr, nil)
-		}
-		if c.err == nil {
-			job := &fleetJob{extract: &ext, sampled: res.runs, exState: exState, done: make(chan struct{})}
-			tailSpan := tr.Span("compute")
-			c.err = s.submit(ctx, job)
-			tailSpan.End()
-			// The state stays coherent even when the tail errors, so it is
-			// always worth returning to the cache.
-			s.releaseExtractionState(stateID, exState)
-			if c.err == nil {
-				if reused > 0 {
-					s.count(func(st *SchedulerStats) { st.IndexReuses++; st.IndexedRunsReused += uint64(reused) })
-				}
-				encodeSpan := tr.Span("assemble")
-				c.payload = store.EncodeExtractionRecord(store.NewExtractionRecord(req.Adversary, sc.Stress, job.exResult))
-				encodeSpan.End()
-				// The pipeline tail always runs on a request-level miss, so
-				// cached source runs or a reused index prefix make the
-				// response partial, never a hit.
-				if res.cached > 0 || reused > 0 {
-					c.status = CachePartial
-				}
-				persistSpan := tr.Span("persist")
-				if perr := s.store.Put(key, c.payload); perr != nil {
-					s.count(func(st *SchedulerStats) { st.PutErrors++ })
-				}
-				persistSpan.End()
-			}
-		} else {
-			s.releaseExtractionState(stateID, exState)
-		}
+		return extractResult{payload: stored, status: CacheHit}, nil
 	}
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(c.done)
-	s.finish(c.status, c.err)
-	return c.payload, c.status, c.err
+	// The pipeline's index state is cached by identity (window size
+	// excluded): a window that extends a previously served one resolves only
+	// the uncovered tail seeds and feeds them to System.Add.  A window
+	// smaller than the cached prefix rebuilds from scratch — knowledge is
+	// relative to the whole system, so a smaller window needs its own index —
+	// and the larger state returns to the cache.
+	stateID := store.KeySpec{Kind: "exstate", Name: req.Extraction, Adversary: req.Adversary, SeedBase: ext.BaseSeed}.Key()
+	exState := s.claimExtractionState(stateID)
+	if exState.Indexed > ext.Runs {
+		s.releaseExtractionState(stateID, exState)
+		exState = &workload.ExtractionState{}
+	}
+	reused := exState.Indexed
+	var res resolution
+	var err error
+	if seeds := workload.Seeds(ext.BaseSeed, ext.Runs)[reused:]; len(seeds) > 0 {
+		src := seedSource{name: extractionNamespace + req.Extraction, adversary: req.Adversary, spec: ext.Source}
+		res, err = s.resolveSeeds(ctx, src, seeds, nil, tr, nil)
+	}
+	job := &fleetJob{extract: &ext, sampled: res.runs, exState: exState, done: make(chan struct{})}
+	if err == nil {
+		tailSpan := tr.Span("compute")
+		err = s.submit(ctx, job)
+		tailSpan.End()
+	}
+	// The state stays coherent even when the tail errors, so it is always
+	// worth returning to the cache.
+	s.releaseExtractionState(stateID, exState)
+	if err != nil {
+		return extractResult{status: CacheMiss}, err
+	}
+	if reused > 0 {
+		s.count(func(st *SchedulerStats) { st.IndexReuses++; st.IndexedRunsReused += uint64(reused) })
+	}
+	encodeSpan := tr.Span("assemble")
+	v := extractResult{payload: store.EncodeExtractionRecord(store.NewExtractionRecord(req.Adversary, stress, job.exResult)), status: CacheMiss}
+	encodeSpan.End()
+	// The pipeline tail always runs on a request-level miss, so cached
+	// source runs or a reused index prefix make the response partial, never
+	// a hit.
+	if res.counts.Cached > 0 || reused > 0 {
+		v.status = CachePartial
+	}
+	s.persist(key, v.payload, tr)
+	return v, nil
 }

@@ -27,21 +27,21 @@
 //	GET  /debug/traces/<id>          one trace's stage + seed + span-link detail
 //	GET  /debug/pprof/*              runtime profiles (Config.Pprof only)
 //
-// Every response to /v1/sweep and /v1/extract carries a Server-Timing header
-// with the scheduler's stage breakdown (resolve, claim, compute, assemble,
-// persist) and an X-Trace-Id header naming its trace: parsed from the
-// client's W3C `traceparent` header or minted at ingress, recorded in a
+// The corpus-backed routes (/v1/sweep, /v1/extract, /v1/claim) share one
+// ingress — trace, parse, drain and rate admission, request context — and
+// one response writer.  Every response to them carries a Server-Timing
+// header with the scheduler's stage breakdown (resolve, claim, compute,
+// assemble, persist) and an X-Trace-Id header naming its trace: parsed from
+// the client's W3C `traceparent` header or minted at ingress, recorded in a
 // fixed-capacity tail-sampling trace log (slow and errored traces always
 // retained) served by /debug/traces, with span links to the flight-table
-// owners whose in-flight work the request joined.  `?debug=timing` wraps the
-// body in a JSON trace envelope whose inner `response` bytes are the
-// unchanged normal body.  Observability lives in headers, logs and opt-in
-// envelopes only, never in default bodies, so every byte-identity guarantee
-// above survives it.
+// owners whose in-flight work the request joined.  /debug/traces/<id> holds
+// a request's stage breakdown, total and cache grade.  Observability lives
+// in headers, logs and the trace log only, never in response bodies, so
+// every byte-identity guarantee above survives it.
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -164,10 +164,10 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newServerMetrics(s.sched, st, s.traces, fc, time.Now())
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.instrument("/readyz", s.handleReadyz))
-	s.mux.HandleFunc("/v1/claim", s.instrument("/v1/claim", s.handleClaim))
+	s.mux.HandleFunc("/v1/claim", s.instrument("/v1/claim", corpusRoute(s, "/v1/claim", false, parseClaim, s.serveClaim)))
 	s.mux.HandleFunc("/v1/fleet", s.instrument("/v1/fleet", s.handleFleet))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.HandleFunc("/v1/extract", s.instrument("/v1/extract", s.handleExtract))
+	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", corpusRoute(s, "/v1/sweep", true, parseSweep, s.serveSweep)))
+	s.mux.HandleFunc("/v1/extract", s.instrument("/v1/extract", corpusRoute(s, "/v1/extract", true, parseExtract, s.serveExtract)))
 	s.mux.HandleFunc("/v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarios))
 	s.mux.HandleFunc("/v1/adversaries", s.instrument("/v1/adversaries", s.handleAdversaries))
 	s.mux.HandleFunc("/v1/stats", s.instrument("/v1/stats", s.handleStats))
@@ -277,15 +277,13 @@ func (s *Server) admitDrain() error {
 }
 
 // writeJSON writes a response body through MarshalBody, the same rendering
-// the golden tests and remote clients use.  It returns the body size for the
-// wire accounting.
-func writeJSON(w http.ResponseWriter, status int, v any) int {
+// the golden tests and remote clients use.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	body := MarshalBody(v)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ctJSON)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
-	return len(body)
 }
 
 // writeError maps an error to a JSON error body using its tagged HTTP
@@ -315,10 +313,10 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return r.Context(), func() {}
 }
 
-// decodeRequest fills req from the query string (GET) or the JSON body
-// (POST); other methods are rejected.  Query parameters use the JSON field
-// names.
-func decodeRequest(r *http.Request, fields map[string]any) error {
+// decodeRequest fills fields from the query string (GET) or the JSON body
+// (POST), then applies normalize.  Query parameters use the JSON field names.
+// Malformed values are tagged 400; other methods get errMethod (405).
+func decodeRequest(r *http.Request, fields map[string]any, normalize func() error) error {
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
@@ -333,22 +331,22 @@ func decodeRequest(r *http.Request, fields map[string]any) error {
 			case *int:
 				v, err := strconv.Atoi(raw)
 				if err != nil {
-					return fmt.Errorf("parameter %s: %w", name, err)
+					return badRequest(fmt.Errorf("parameter %s: %w", name, err))
 				}
 				*p = v
 			case *int64:
 				v, err := strconv.ParseInt(raw, 10, 64)
 				if err != nil {
-					return fmt.Errorf("parameter %s: %w", name, err)
+					return badRequest(fmt.Errorf("parameter %s: %w", name, err))
 				}
 				*p = v
 			}
 		}
-		return nil
+		return normalize()
 	case http.MethodPost:
 		target := make(map[string]json.RawMessage)
 		if err := json.NewDecoder(r.Body).Decode(&target); err != nil {
-			return fmt.Errorf("decode request body: %w", err)
+			return badRequest(fmt.Errorf("decode request body: %w", err))
 		}
 		for name, dst := range fields {
 			raw, ok := target[name]
@@ -356,16 +354,16 @@ func decodeRequest(r *http.Request, fields map[string]any) error {
 				continue
 			}
 			if err := json.Unmarshal(raw, dst); err != nil {
-				return fmt.Errorf("field %s: %w", name, err)
+				return badRequest(fmt.Errorf("field %s: %w", name, err))
 			}
 		}
-		return nil
+		return normalize()
 	default:
 		return errMethod
 	}
 }
 
-var errMethod = errors.New("method not allowed (use GET or POST)")
+var errMethod = &httpError{status: http.StatusMethodNotAllowed, err: errors.New("method not allowed (use GET or POST)")}
 
 // HealthResponse is the /healthz and /readyz body.
 type HealthResponse struct {
@@ -390,210 +388,157 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Ready: true})
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/sweep"
-	start := time.Now()
-	tr := s.beginTrace(r)
-	w.Header().Set("X-Trace-Id", tr.ID.String())
-	format, err := negotiateFormat(r)
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	var req SweepRequest
-	err = decodeRequest(r, map[string]any{
-		"scenario":  &req.Scenario,
-		"adversary": &req.Adversary,
-		"seeds":     &req.Seeds,
-		"seedBase":  &req.SeedBase,
-	})
-	if err == errMethod {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
-		return
-	}
-	if err == nil {
-		err = req.normalize()
-	}
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, badRequest(err))
-		return
-	}
-	if err := s.admitDrain(); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if err := s.admitRate(r); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if format == formatNDJSON || format == formatBinStream {
-		s.streamSweep(ctx, w, req, tr, start, format)
-		return
-	}
-	payload, status, err := s.sched.Sweep(ctx, req, tr, nil)
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if format == formatBin {
-		setCacheHeader(w, status)
-		s.writeTracedBinary(w, route, tr, start, status, payload)
-		return
-	}
-	rec, err := store.DecodeSweepRecord(payload)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
-		return
-	}
-	setCacheHeader(w, status)
-	s.writeTraced(w, r, route, tr, start, status, SweepResponseOf(rec))
+// exchange is one corpus-route request in flight: what answering and
+// finishing it needs, carried from ingress to the response writer.
+type exchange struct {
+	w      http.ResponseWriter
+	route  string
+	format string
+	tr     *obs.Trace
+	start  time.Time
 }
 
-func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	const route = "/v1/extract"
-	start := time.Now()
-	tr := s.beginTrace(r)
-	w.Header().Set("X-Trace-Id", tr.ID.String())
-	format, err := negotiateFormat(r)
-	if err == nil && format == formatBinStream {
+// corpusRoute is the ingress the corpus-backed routes share.  It starts the
+// request's trace and names it in X-Trace-Id, parses the request (parse
+// negotiates the response format and decodes and validates the request;
+// 405, 400 and 406 come from there), then admits it — drain first, then,
+// on limited routes, the per-client rate limit, so only well-formed requests
+// draw a token — and serves it under the active-request count and the
+// request's compute context.
+func corpusRoute[R any](s *Server, route string, limited bool, parse func(*http.Request) (R, string, error), serve func(context.Context, *exchange, R)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		x := &exchange{w: w, route: route, start: time.Now(), tr: s.beginTrace(r)}
+		w.Header().Set("X-Trace-Id", x.tr.ID.String())
+		req, format, err := parse(r)
+		x.format = format
+		if err == nil {
+			err = s.admitDrain()
+		}
+		if err == nil && limited {
+			err = s.admitRate(r)
+		}
+		if err != nil {
+			s.fail(x, err)
+			return
+		}
+		s.active.Add(1)
+		defer s.active.Add(-1)
+		ctx, cancel := s.requestContext(r)
+		defer cancel()
+		serve(ctx, x, req)
+	}
+}
+
+func parseSweep(r *http.Request) (req SweepRequest, format string, err error) {
+	if format, err = negotiateFormat(r); err == nil {
+		err = decodeRequest(r, map[string]any{
+			"scenario":  &req.Scenario,
+			"adversary": &req.Adversary,
+			"seeds":     &req.Seeds,
+			"seedBase":  &req.SeedBase,
+		}, req.normalize)
+	}
+	return req, format, err
+}
+
+func parseExtract(r *http.Request) (req ExtractRequest, format string, err error) {
+	if format, err = negotiateFormat(r); err == nil && format == formatBinStream {
 		// An extraction's pipeline tail is one indivisible computation, so
 		// there is no per-seed frame sequence to stream; NDJSON streams the
 		// verdicts, binary callers take the buffered container.
 		err = notAcceptable(fmt.Errorf("format bin-stream is not supported on /v1/extract (use bin or ndjson)"))
 	}
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	var req ExtractRequest
-	err = decodeRequest(r, map[string]any{
-		"extraction": &req.Extraction,
-		"adversary":  &req.Adversary,
-		"runs":       &req.Runs,
-		"seedBase":   &req.SeedBase,
-	})
-	if err == errMethod {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
-		return
-	}
 	if err == nil {
-		err = req.normalize()
+		err = decodeRequest(r, map[string]any{
+			"extraction": &req.Extraction,
+			"adversary":  &req.Adversary,
+			"runs":       &req.Runs,
+			"seedBase":   &req.SeedBase,
+		}, req.normalize)
 	}
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, badRequest(err))
-		return
-	}
-	if err := s.admitDrain(); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if err := s.admitRate(r); err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if format == formatNDJSON {
-		s.streamExtract(ctx, w, req, tr, start)
-		return
-	}
-	payload, status, err := s.sched.Extract(ctx, req, tr)
-	if err != nil {
-		s.failRequest(w, route, format, tr, start, err)
-		return
-	}
-	if format == formatBin {
-		setCacheHeader(w, status)
-		s.writeTracedBinary(w, route, tr, start, status, payload)
-		return
-	}
-	rec, err := store.DecodeExtractionRecord(payload)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		s.finishRequest(route, format, tr, start, "", err)
-		return
-	}
-	setCacheHeader(w, status)
-	s.writeTraced(w, r, route, tr, start, status, ExtractResponseOf(rec))
+	return req, format, err
 }
 
-// TraceStageJSON is one stage of a ?debug=timing trace.
+func (s *Server) serveSweep(ctx context.Context, x *exchange, req SweepRequest) {
+	if x.format == formatNDJSON || x.format == formatBinStream {
+		s.streamSweep(ctx, x, req)
+		return
+	}
+	payload, status, err := s.sched.Sweep(ctx, req, x.tr, nil)
+	s.respond(x, payload, status, err, func(p []byte) (any, error) {
+		rec, err := store.DecodeSweepRecord(p)
+		if err != nil {
+			return nil, err
+		}
+		return SweepResponseOf(rec), nil
+	})
+}
+
+func (s *Server) serveExtract(ctx context.Context, x *exchange, req ExtractRequest) {
+	if x.format == formatNDJSON {
+		s.streamExtract(ctx, x, req)
+		return
+	}
+	payload, status, err := s.sched.Extract(ctx, req, x.tr)
+	s.respond(x, payload, status, err, func(p []byte) (any, error) {
+		rec, err := store.DecodeExtractionRecord(p)
+		if err != nil {
+			return nil, err
+		}
+		return ExtractResponseOf(rec), nil
+	})
+}
+
+// TraceStageJSON is one stage of a rendered trace.
 type TraceStageJSON struct {
 	Name   string  `json:"name"`
 	Millis float64 `json:"millis"`
 }
 
-// TraceJSON is the ?debug=timing trace block: the scheduler's stage
-// breakdown, the total scheduling latency, and the cache grade.
-type TraceJSON struct {
-	Stages      []TraceStageJSON `json:"stages"`
-	TotalMillis float64          `json:"totalMillis"`
-	Cache       string           `json:"cache"`
-}
-
-// DebugTimingResponse is the ?debug=timing envelope.  Response holds the
-// exact bytes the request would have returned without the flag (minus
-// MarshalBody's trailing newline, which cannot live inside a JSON value), so
-// tooling can unwrap it and byte-compare against normal responses.
-type DebugTimingResponse struct {
-	Trace    TraceJSON       `json:"trace"`
-	Response json.RawMessage `json:"response"`
+// stagesJSON renders a trace's stage breakdown.
+func stagesJSON(stages []obs.TraceStage) []TraceStageJSON {
+	out := make([]TraceStageJSON, 0, len(stages))
+	for _, st := range stages {
+		out = append(out, TraceStageJSON{Name: st.Name, Millis: millis(st.Dur)})
+	}
+	return out
 }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// writeTraced finishes a served sweep/extract response: it renders the stage
-// trace as a Server-Timing header (always), wraps the body in a trace
-// envelope when the request opted in with ?debug=timing (the inner response
-// bytes are the unchanged normal body), and finishes the trace — histogram
-// observations, the trace-log record, and the structured slow-request log.
-func (s *Server) writeTraced(w http.ResponseWriter, r *http.Request, route string, tr *obs.Trace, start time.Time, status CacheStatus, v any) {
-	total := time.Since(start)
-	w.Header().Set("Server-Timing", tr.ServerTiming(
-		"total;dur="+obs.FormatMillis(total),
-		`cache;desc="`+string(status)+`"`))
-	var n int
-	if r.URL.Query().Get("debug") == "timing" {
-		trace := TraceJSON{TotalMillis: millis(total), Cache: string(status)}
-		for _, st := range tr.Stages() {
-			trace.Stages = append(trace.Stages, TraceStageJSON{Name: st.Name, Millis: millis(st.Dur)})
-		}
-		n = writeJSON(w, http.StatusOK, DebugTimingResponse{
-			Trace:    trace,
-			Response: json.RawMessage(bytes.TrimSuffix(MarshalBody(v), []byte("\n"))),
-		})
-	} else {
-		n = writeJSON(w, http.StatusOK, v)
-	}
-	s.observeWire(route, formatJSON, n)
-	s.finishRequest(route, formatJSON, tr, start, status, nil)
+// serverTiming renders a finished request's Server-Timing value: the stage
+// breakdown, the total and the cache grade.
+func serverTiming(tr *obs.Trace, total time.Duration, status CacheStatus) string {
+	return tr.ServerTiming("total;dur="+obs.FormatMillis(total), `cache;desc="`+string(status)+`"`)
 }
 
-// writeTracedBinary finishes a served sweep/extract response in the binary
-// format: the store's codec container written to the wire byte-for-byte —
-// what the scheduler returned is what the client's decoder (and the corpus)
-// sees, with no re-encode in between.  ?debug=timing has no binary framing;
-// the stage trace still travels in the Server-Timing header.
-func (s *Server) writeTracedBinary(w http.ResponseWriter, route string, tr *obs.Trace, start time.Time, status CacheStatus, payload []byte) {
-	total := time.Since(start)
-	w.Header().Set("Server-Timing", tr.ServerTiming(
-		"total;dur="+obs.FormatMillis(total),
-		`cache;desc="`+string(status)+`"`))
-	w.Header().Set("Content-Type", ctBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(payload)
-	s.observeWire(route, formatBin, len(payload))
-	s.finishRequest(route, formatBin, tr, start, status, nil)
+// respond writes a buffered corpus-route response and finishes the request.
+// A bin response is the store's codec container byte for byte — what the
+// scheduler returned is what the client's decoder (and the corpus) sees;
+// otherwise render turns the container into the JSON body.  X-Cache says how
+// much of the body came from the run corpus; it lives in a header because
+// cached, assembled and computed bodies are byte-identical by design.
+func (s *Server) respond(x *exchange, payload []byte, status CacheStatus, err error, render func([]byte) (any, error)) {
+	body, ct := payload, ctBinary
+	if err == nil && x.format == formatJSON {
+		var v any
+		if v, err = render(payload); err == nil {
+			body, ct = MarshalBody(v), ctJSON
+		}
+	}
+	if err != nil {
+		s.fail(x, err)
+		return
+	}
+	h := x.w.Header()
+	h.Set("X-Cache", string(status))
+	h.Set("Server-Timing", serverTiming(x.tr, time.Since(x.start), status))
+	h.Set("Content-Type", ct)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	x.w.WriteHeader(http.StatusOK)
+	x.w.Write(body)
+	s.observeWire(x.route, x.format, len(body))
+	s.finishRequest(x, status, nil)
 }
 
 // observeWire records one finished corpus-route response body on the wire
@@ -601,15 +546,6 @@ func (s *Server) writeTracedBinary(w http.ResponseWriter, route string, tr *obs.
 func (s *Server) observeWire(route, format string, bytes int) {
 	s.metrics.wireResponses.With(route, format).Inc()
 	s.metrics.wireBytes.With(route, format).Add(uint64(bytes))
-}
-
-// setCacheHeader marks how much of the body came from the run corpus: "hit"
-// (nothing computed), "partial" (assembled from cached and computed seeds),
-// or "miss" (everything computed).  The indicator lives in a header, not the
-// body, because cached, assembled and computed bodies are byte-identical by
-// design.
-func setCacheHeader(w http.ResponseWriter, status CacheStatus) {
-	w.Header().Set("X-Cache", string(status))
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {

@@ -105,9 +105,7 @@ func (st *streamer) emitOutcome(o workload.RunOutcome) {
 func (st *streamer) setTrailers(status CacheStatus, tr *obs.Trace, total time.Duration) {
 	st.begin()
 	st.w.Header().Set("X-Cache", string(status))
-	st.w.Header().Set("Server-Timing", tr.ServerTiming(
-		"total;dur="+obs.FormatMillis(total),
-		`cache;desc="`+string(status)+`"`))
+	st.w.Header().Set("Server-Timing", serverTiming(tr, total, status))
 }
 
 // fail terminates the stream: a mid-stream failure (records already on the
@@ -147,75 +145,73 @@ type ExtractTrailerJSON struct {
 	Trace     TraceJSON        `json:"trace"`
 }
 
-// traceJSON renders a stage trace for ?debug=timing envelopes and stream
-// trailers.
+// TraceJSON is a stream trailer's trace block: the scheduler's stage
+// breakdown, the total latency, and the cache grade.
+type TraceJSON struct {
+	Stages      []TraceStageJSON `json:"stages"`
+	TotalMillis float64          `json:"totalMillis"`
+	Cache       string           `json:"cache"`
+}
+
 func traceJSON(tr *obs.Trace, total time.Duration, status CacheStatus) TraceJSON {
-	t := TraceJSON{TotalMillis: millis(total), Cache: string(status)}
-	for _, st := range tr.Stages() {
-		t.Stages = append(t.Stages, TraceStageJSON{Name: st.Name, Millis: millis(st.Dur)})
-	}
-	return t
+	return TraceJSON{Stages: stagesJSON(tr.Stages()), TotalMillis: millis(total), Cache: string(status)}
 }
 
 // streamSweep serves one sweep request in a streamed format.
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req SweepRequest, tr *obs.Trace, start time.Time, format string) {
-	st := newStreamer(w, format)
-	payload, status, err := s.sched.Sweep(ctx, req, tr, st.emitOutcome)
-	if err == nil && format == formatNDJSON {
+func (s *Server) streamSweep(ctx context.Context, x *exchange, req SweepRequest) {
+	st := newStreamer(x.w, x.format)
+	payload, status, err := s.sched.Sweep(ctx, req, x.tr, st.emitOutcome)
+	if err == nil && x.format == formatNDJSON {
 		var rec *store.SweepRecord
 		if rec, err = store.DecodeSweepRecord(payload); err == nil {
-			total := time.Since(start)
-			st.setTrailers(status, tr, total)
+			total := time.Since(x.start)
+			st.setTrailers(status, x.tr, total)
 			st.write(MarshalBody(streamTrailerLine{Trailer: SweepTrailerJSON{
 				Aggregate: SweepAggregateOf(rec),
-				Trace:     traceJSON(tr, total, status),
+				Trace:     traceJSON(x.tr, total, status),
 			}}))
 		}
 	} else if err == nil {
 		// The assembled sweep container is the binary trailer, byte-identical
 		// to the buffered binary body.
-		st.setTrailers(status, tr, time.Since(start))
+		st.setTrailers(status, x.tr, time.Since(x.start))
 		st.writeFrame(payload)
 	}
-	if err != nil {
-		st.fail(err)
-	}
-	s.finishStream("/v1/sweep", st, tr, start, status, err)
+	s.finishStream(x, st, status, err)
 }
 
 // streamExtract serves one extraction request as NDJSON: verdict lines, then
 // the trailer.  The pipeline tail is one indivisible computation, so the
 // lines flush together once it lands — streaming here is about incremental
 // consumption of large verdict sets, not progressive compute.
-func (s *Server) streamExtract(ctx context.Context, w http.ResponseWriter, req ExtractRequest, tr *obs.Trace, start time.Time) {
-	st := newStreamer(w, formatNDJSON)
-	payload, status, err := s.sched.Extract(ctx, req, tr)
+func (s *Server) streamExtract(ctx context.Context, x *exchange, req ExtractRequest) {
+	st := newStreamer(x.w, formatNDJSON)
+	payload, status, err := s.sched.Extract(ctx, req, x.tr)
 	var rec *store.ExtractionRecord
 	if err == nil {
 		rec, err = store.DecodeExtractionRecord(payload)
 	}
-	if err != nil {
-		st.fail(err)
-		s.finishStream("/v1/extract", st, tr, start, status, err)
-		return
+	if err == nil {
+		for _, v := range rec.Verdicts {
+			st.records++
+			st.write(MarshalBody(verdictJSON(v)))
+		}
+		total := time.Since(x.start)
+		st.setTrailers(status, x.tr, total)
+		st.write(MarshalBody(streamTrailerLine{Trailer: ExtractTrailerJSON{
+			Aggregate: ExtractAggregateOf(rec),
+			Trace:     traceJSON(x.tr, total, status),
+		}}))
 	}
-	for _, v := range rec.Verdicts {
-		st.records++
-		st.write(MarshalBody(verdictJSON(v)))
-	}
-	total := time.Since(start)
-	st.setTrailers(status, tr, total)
-	st.write(MarshalBody(streamTrailerLine{Trailer: ExtractTrailerJSON{
-		Aggregate: ExtractAggregateOf(rec),
-		Trace:     traceJSON(tr, total, status),
-	}}))
-	s.finishStream("/v1/extract", st, tr, start, status, nil)
+	s.finishStream(x, st, status, err)
 }
 
-// finishStream records a finished stream's wire accounting and finishes its
-// trace — stage histograms, the trace-log record, and the structured
-// slow-request log, exactly like the buffered paths.
-func (s *Server) finishStream(route string, st *streamer, tr *obs.Trace, start time.Time, status CacheStatus, err error) {
-	s.observeWire(route, st.format, st.bytes)
-	s.finishRequest(route, st.format, tr, start, status, err)
+// finishStream terminates a failed stream, records the stream's wire
+// accounting and finishes its trace, exactly like the buffered paths.
+func (s *Server) finishStream(x *exchange, st *streamer, status CacheStatus, err error) {
+	if err != nil {
+		st.fail(err)
+	}
+	s.observeWire(x.route, x.format, st.bytes)
+	s.finishRequest(x, status, err)
 }

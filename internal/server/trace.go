@@ -36,20 +36,21 @@ func (s *Server) beginTrace(r *http.Request) *obs.Trace {
 	return tr
 }
 
-// finishRequest is every sweep/extract exit path's final step: it feeds the
+// finishRequest is every corpus-route exit path's final step: it feeds the
 // trace's stages to the duration histograms, records the finished trace in
 // the log (errors always retain), and emits the structured slow-request log.
-func (s *Server) finishRequest(route, format string, tr *obs.Trace, start time.Time, status CacheStatus, err error) {
-	total := time.Since(start)
+func (s *Server) finishRequest(x *exchange, status CacheStatus, err error) {
+	total := time.Since(x.start)
+	tr := x.tr
 	for _, stage := range tr.Stages() {
 		s.metrics.stageDuration.With(stage.Name).Observe(stage.Dur.Seconds())
 	}
 	rec := &obs.TraceRecord{
 		ID:       tr.ID,
 		Parent:   tr.Parent,
-		Route:    route,
-		Format:   format,
-		Start:    start,
+		Route:    x.route,
+		Format:   x.format,
+		Start:    x.start,
 		Duration: total,
 		Cache:    string(status),
 		Stages:   tr.Stages(),
@@ -64,8 +65,8 @@ func (s *Server) finishRequest(route, format string, tr *obs.Trace, start time.T
 	if s.slow > 0 && total >= s.slow {
 		attrs := []slog.Attr{
 			slog.String("trace", tr.ID.String()),
-			slog.String("route", route),
-			slog.String("format", format),
+			slog.String("route", x.route),
+			slog.String("format", x.format),
 			slog.String("cache", string(status)),
 			slog.Duration("total", total),
 			slog.Int("seeds", tr.Seeds().Requested),
@@ -78,10 +79,10 @@ func (s *Server) finishRequest(route, format string, tr *obs.Trace, start time.T
 	}
 }
 
-// failRequest answers a failed sweep/extract request and finishes its trace.
-func (s *Server) failRequest(w http.ResponseWriter, route, format string, tr *obs.Trace, start time.Time, err error) {
-	writeError(w, err)
-	s.finishRequest(route, format, tr, start, "", err)
+// fail answers a failed corpus-route request and finishes its trace.
+func (s *Server) fail(x *exchange, err error) {
+	writeError(x.w, err)
+	s.finishRequest(x, "", err)
 }
 
 // TraceSummaryJSON is one trace as listed by /debug/traces.
@@ -179,13 +180,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		writeError(w, notFound(fmt.Errorf("trace %s is not in the log (never recorded, or evicted)", id)))
 		return
 	}
-	out := TraceDetailJSON{
-		TraceSummaryJSON: traceSummary(rec),
-		Stages:           make([]TraceStageJSON, 0, len(rec.Stages)),
-	}
-	for _, stage := range rec.Stages {
-		out.Stages = append(out.Stages, TraceStageJSON{Name: stage.Name, Millis: millis(stage.Dur)})
-	}
+	out := TraceDetailJSON{TraceSummaryJSON: traceSummary(rec), Stages: stagesJSON(rec.Stages)}
 	for _, link := range rec.Links {
 		if owner, ok := s.traces.Get(link); ok {
 			out.Linked = append(out.Linked, traceSummary(owner))

@@ -179,7 +179,7 @@ func TestCoalescedTraceLink(t *testing.T) {
 	}()
 
 	awaitSeedRecord(t, srv.store, SweepSeedKey(req.Scenario, "", seeds[0]))
-	c.outcome = res.Outcomes[0]
+	c.val.outcome = res.Outcomes[0]
 	publish()
 
 	if resp := <-done; resp.StatusCode != http.StatusOK {

@@ -38,16 +38,17 @@ type SweepRequest struct {
 }
 
 // normalize applies defaults and validates the request shape (not the names;
-// those are resolved against the catalog by the scheduler).
+// those are resolved against the catalog by the scheduler), tagging failures
+// 400.
 func (r *SweepRequest) normalize() error {
 	if r.Scenario == "" {
-		return fmt.Errorf("scenario is required")
+		return badRequest(fmt.Errorf("scenario is required"))
 	}
 	if r.Seeds == 0 {
 		r.Seeds = DefaultSeeds
 	}
 	if r.Seeds < 0 || r.Seeds > MaxSeeds {
-		return fmt.Errorf("seeds %d out of range [1, %d]", r.Seeds, MaxSeeds)
+		return badRequest(fmt.Errorf("seeds %d out of range [1, %d]", r.Seeds, MaxSeeds))
 	}
 	if r.SeedBase == 0 {
 		r.SeedBase = 1
@@ -74,10 +75,10 @@ type ExtractRequest struct {
 
 func (r *ExtractRequest) normalize() error {
 	if r.Extraction == "" {
-		return fmt.Errorf("extraction is required")
+		return badRequest(fmt.Errorf("extraction is required"))
 	}
 	if r.Runs < 0 || r.Runs > MaxSeeds {
-		return fmt.Errorf("runs %d out of range [1, %d]", r.Runs, MaxSeeds)
+		return badRequest(fmt.Errorf("runs %d out of range [1, %d]", r.Runs, MaxSeeds))
 	}
 	return nil
 }

@@ -17,26 +17,40 @@ import (
 	"repro/internal/workload"
 )
 
-var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite the FuzzDecodeSeedRecord seed corpus under testdata/fuzz")
+var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite the decoder fuzz targets' seed corpora under testdata/fuzz")
 
 // FuzzDecodeSeedRecord fuzzes the seed-record decoder, the corpus's hot
-// read path.  Each input is decoded twice: as given, and resealed — its
-// trailing checksum recomputed — so mutations of the payload reach the
-// decoder instead of stopping at the CRC.  For both it checks that decoding
-// never panics, that it allocates at most a constant factor of the input
-// size, that an accepted input re-encodes to exactly its own bytes, and that
-// the same input with one checksum bit flipped is rejected.  The seed corpus
-// in testdata/fuzz/FuzzDecodeSeedRecord holds encoded records of catalogued
+// read path, with fuzzDecode's properties.  The seed corpus in
+// testdata/fuzz/FuzzDecodeSeedRecord holds encoded records of catalogued
 // scenario seeds plus one exercising every event field (see
 // fuzzSeedRecords); a plain `go test` replays it, which also pins those
 // records' bytes.
 func FuzzDecodeSeedRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkSeedRecordDecode(t, data)
-		if len(data) >= headerLen+trailerLen {
-			checkSeedRecordDecode(t, reseal(data))
-		}
+		fuzzDecode(t, data, decodeOwned, EncodeSeedRecord)
 	})
+}
+
+// FuzzDecodeSweepRecord fuzzes the sweep-record decoder, which also decodes
+// fleet peers' claim responses, with fuzzDecode's properties.  Its seed
+// corpus (see fuzzSweepRecords) is pinned like FuzzDecodeSeedRecord's.
+func FuzzDecodeSweepRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecode(t, data, DecodeSweepRecord, EncodeSweepRecord)
+	})
+}
+
+// fuzzDecode decodes each input twice: as given, and resealed — its trailing
+// checksum recomputed — so mutations of the payload reach the decoder
+// instead of stopping at the CRC.  For both it checks that decoding never
+// panics, that it allocates at most a constant factor of the input size,
+// that an accepted input re-encodes to exactly its own bytes, and that the
+// same input with one checksum bit flipped is rejected.
+func fuzzDecode[R any](t *testing.T, data []byte, decode func([]byte) (R, error), encode func(R) []byte) {
+	checkDecode(t, data, decode, encode)
+	if len(data) >= headerLen+trailerLen {
+		checkDecode(t, reseal(data), decode, encode)
+	}
 }
 
 // reseal returns a copy of data with its trailing CRC-32C recomputed.
@@ -52,42 +66,49 @@ func reseal(data []byte) []byte {
 // decoder and the allocator's span-granular accounting.
 func allocBound(n int) uint64 { return 1024*uint64(n) + 256<<10 }
 
-func checkSeedRecordDecode(t *testing.T, data []byte) {
+func checkDecode[R any](t *testing.T, data []byte, decode func([]byte) (R, error), encode func(R) []byte) {
 	t.Helper()
-	rec, allocated, err := decodeOwned(data)
+	var rec R
+	var err error
 	// A second measurement rules out an allocation elsewhere in the
 	// process; a real amplification shows in both.
-	if allocated > allocBound(len(data)) {
-		if _, again, _ := decodeOwned(data); again > allocBound(len(data)) {
+	if heapAllocs(func() { rec, err = decode(data) }) > allocBound(len(data)) {
+		if again := heapAllocs(func() { decode(data) }); again > allocBound(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d bytes (bound %d)", len(data), again, allocBound(len(data)))
 		}
 	}
 	if err != nil {
 		return
 	}
-	if re := EncodeSeedRecord(rec); !bytes.Equal(re, data) {
+	if re := encode(rec); !bytes.Equal(re, data) {
 		t.Fatalf("accepted input re-encodes differently (%d bytes in, %d out)", len(data), len(re))
 	}
 	flipped := bytes.Clone(data)
 	flipped[len(flipped)-1-len(data)%trailerLen] ^= 1 << (len(data) % 8)
-	if _, err := DecodeSeedRecord(flipped); err == nil {
+	if _, err := decode(flipped); err == nil {
 		t.Fatal("input with a flipped checksum bit was accepted")
 	}
 }
 
-// decodeOwned decodes data the way DecodeSeedRecord does — a transient
-// decode then an owned copy of the run — but on a fresh decoder, the pooled
-// path's worst case, and reports the heap bytes that took.
-func decodeOwned(data []byte) (rec *SeedRecord, allocated uint64, err error) {
-	d := NewRunDecoder()
+// heapAllocs reports the heap bytes f allocated.
+func heapAllocs(f func()) uint64 {
 	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(sample)
 	before := sample[0].Value.Uint64()
-	if rec, err = d.DecodeSeedRecord(data); err == nil {
+	f()
+	metrics.Read(sample)
+	return sample[0].Value.Uint64() - before
+}
+
+// decodeOwned decodes a seed record the way DecodeSeedRecord does — a
+// transient decode then an owned copy of the run — but on a fresh decoder,
+// the pooled path's worst case.
+func decodeOwned(data []byte) (*SeedRecord, error) {
+	rec, err := NewRunDecoder().DecodeSeedRecord(data)
+	if err == nil {
 		rec.Run = rec.Run.CompactClone()
 	}
-	metrics.Read(sample)
-	return rec, sample[0].Value.Uint64() - before, err
+	return rec, err
 }
 
 // fuzzSeedRecords builds the seed corpus: one Table 1 seed's record scored
@@ -144,30 +165,56 @@ func fuzzSeedRecords(t *testing.T) map[string][]byte {
 	}
 }
 
-// TestFuzzSeedCorpusCurrent checks that the committed seed corpus is what
-// the current encoder produces for fuzzSeedRecords' values, so the corpus
-// stays a set of real records (and pins their bytes).  Run with
-// -update-fuzz-seeds to rewrite it.
+// fuzzSweepRecords builds FuzzDecodeSweepRecord's seed corpus: a Table 1
+// window as /v1/sweep stores it, and a claim-shaped record — explicit
+// non-contiguous seeds under an adversary override — whose outcomes carry
+// violations and latencies.
+func fuzzSweepRecords(t *testing.T) map[string][]byte {
+	t.Helper()
+	sc := registry.MustScenario("prop2.4-reliable-udc")
+	window, err := workload.Sweep(sc.Spec, workload.Seeds(1, 2), sc.Eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim := &SweepRecord{Scenario: "prop3.1-strong-udc", Check: "udc", Adversary: "burst-loss", SeedBase: -3, Outcomes: []workload.RunOutcome{
+		{Seed: -3, Stats: sim.Stats{Steps: 400, MessagesSent: 12, MessagesDelivered: 9, MessagesDropped: 2, MessagesToCrashed: 1, MessagesDuplicated: 1, DoEvents: 2, InitEvents: 2, CrashEvents: 1, LastEventTime: 390}, LatencySum: 57, LatencyActions: 2},
+		{Seed: 40, Violations: []model.Violation{{Rule: "DC2", Detail: "process 0 performed a(0,2) but correct process 1 never did"}, {Rule: "DC1"}}},
+	}}
+	return map[string][]byte{
+		"prop2.4-window": EncodeSweepRecord(NewSweepRecord(sc.Name, sc.Check, "", 1, window)),
+		"claim-fields":   EncodeSweepRecord(claim),
+	}
+}
+
+// TestFuzzSeedCorpusCurrent checks that the committed seed corpora are what
+// the current encoders produce for fuzzSeedRecords' and fuzzSweepRecords'
+// values, so each corpus stays a set of real records (and pins their
+// bytes).  Run with -update-fuzz-seeds to rewrite them.
 func TestFuzzSeedCorpusCurrent(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSeedRecord")
-	for name, rec := range fuzzSeedRecords(t) {
-		want := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(rec)) + ")\n")
-		path := filepath.Join(dir, name)
-		if *updateFuzzSeeds {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
+	for target, recs := range map[string]map[string][]byte{
+		"FuzzDecodeSeedRecord":  fuzzSeedRecords(t),
+		"FuzzDecodeSweepRecord": fuzzSweepRecords(t),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		for name, rec := range recs {
+			want := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(rec)) + ")\n")
+			path := filepath.Join(dir, name)
+			if *updateFuzzSeeds {
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, want, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, want, 0o644); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: committed seed differs from the current encoding of its record", path)
 			}
-			continue
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: committed seed differs from the current encoding of its record", path)
 		}
 	}
 }
